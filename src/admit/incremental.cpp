@@ -104,7 +104,7 @@ void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
   dram_ptrs_.clear();
   if (any_dram) {
     // The tentative uses_dram population in admission order: the exact
-    // subsequence dram_service_view would filter out of the batch vector.
+    // subsequence e2e_bounds_into filters out of the batch vector.
     for (const auto& [seq, s] : dram_by_seq_) dram_ptrs_.push_back(&flows_[s].req);
     if (candidate && candidate->uses_dram) dram_ptrs_.push_back(candidate);
   }
@@ -150,7 +150,7 @@ void IncrementalAdmission::evaluate(const core::AppRequirement* candidate,
       const FlowState& fs = flows_[s];
       std::optional<Time> b;
       if (fs.chain_valid) {
-        const nc::CurveView chain = nc::to_view(arena, fs.chain);
+        const nc::CurveView chain = fs.chain.view();
         const nc::CurveView dram = analysis_.dram_service_from(
             fs.req, dram_ptrs_.data(), dram_ptrs_.size(), arena);
         const nc::CurveView service = nc::convolve_view(arena, chain, dram);

@@ -31,8 +31,6 @@
 #include "dram/wcd.hpp"
 #include "nc/arena.hpp"
 #include "nc/batch.hpp"
-#include "nc/bounds.hpp"
-#include "nc/ops.hpp"
 #include "noc/network.hpp"
 
 namespace pap::core {
@@ -69,40 +67,16 @@ class E2eAnalysis {
   /// The flow's path: injection link, then the XY route's channels.
   std::vector<PathLink> links_of(const AppRequirement& req) const;
 
-  /// Residual service curve of the NoC path of `req` under the admitted
-  /// cross traffic `others` (convolution over its links), or nullopt when
-  /// a link on the path is saturated / the burst fixpoint diverges.
-  std::optional<nc::Curve> path_service(
-      const AppRequirement& req,
-      const std::vector<AppRequirement>& others) const;
-
-  /// Residual DRAM read service for `req` given all admitted apps
-  /// (their writes feed the write-batch interference; their reads occupy
-  /// queue positions ahead).
-  nc::Curve dram_service(const AppRequirement& req,
-                         const std::vector<AppRequirement>& others) const;
-
-  /// Full end-to-end bound: NoC path (+ DRAM when used).
-  std::optional<Time> e2e_bound(const AppRequirement& req,
-                                const std::vector<AppRequirement>& others) const;
-
-  /// Bounds for every flow of the set in one pass. Numerically identical
-  /// to calling `e2e_bound(flows[i], flows)` per flow, but the paths and
-  /// the burst-propagation fixpoint — the dominant cost — are computed
-  /// once and shared. The admission controller re-proves every admitted
-  /// application on each decision, which is exactly this shape; the
-  /// flow-by-flow form repeats the fixpoint N times on identical input.
-  /// bounds[i] is empty when flow i has no bounded delay.
-  std::vector<std::optional<Time>> e2e_bounds(
-      const std::vector<AppRequirement>& flows) const;
-
-  /// e2e_bounds with caller-owned output storage. The whole analysis —
-  /// paths, the burst-propagation fixpoint, every intermediate curve — runs
-  /// on the calling thread's nc::Arena (reset once on entry), so a warm
-  /// steady state (arena blocks grown, *out at capacity) makes zero heap
-  /// allocations per decision. Results are numerically identical to
-  /// e2e_bounds: every view kernel mirrors its scalar counterpart bit for
-  /// bit (pinned by tests/core_e2e_test.cpp and tests/nc_batch_test.cpp).
+  /// Bounds for every flow of the set in one pass: bounds[i] is the
+  /// end-to-end bound of flows[i] against the rest of the set, empty when
+  /// flow i has no bounded delay. The paths and the burst-propagation
+  /// fixpoint — the dominant cost — are computed once and shared; the
+  /// admission controller re-proves every admitted application on each
+  /// decision, which is exactly this shape. Output storage is the
+  /// caller's, and the whole analysis — paths, fixpoint, every
+  /// intermediate curve — runs on the calling thread's nc::Arena (reset
+  /// once on entry), so a warm steady state (arena blocks grown, *out at
+  /// capacity) makes zero heap allocations per decision.
   void e2e_bounds_into(const std::vector<AppRequirement>& flows,
                        std::vector<std::optional<Time>>* out) const;
 
@@ -113,7 +87,7 @@ class E2eAnalysis {
   // The building blocks of e2e_bounds_into, exposed so callers that manage
   // their own flow-set slices — the incremental admission engine re-proves
   // only the dirty connected component of a decision — can run the exact
-  // batch pipeline over a subset. The arithmetic is order-sensitive only in
+  // same pipeline over a subset. The arithmetic is order-sensitive only in
   // the per-link user summation, which follows the (vector index, hop)
   // order of `flows`; a caller that presents flows in admission order gets
   // bit-identical values to the full batch run (docs/admission.md).
@@ -127,8 +101,10 @@ class E2eAnalysis {
   FlatPaths flat_paths(const std::vector<AppRequirement>& flows,
                        nc::Arena& arena) const;
 
-  /// propagate() over flat arena storage; bursts is indexed like
-  /// FlatPaths::links. converged == false means the fixpoint diverged.
+  /// Per-flow, per-hop burst sizes (in each flow's own packets) after the
+  /// link-delay fixpoint; bursts is indexed like FlatPaths::links.
+  /// converged == false means the fixpoint diverged; flow_unbounded[f]
+  /// marks flows crossing a saturated link.
   struct PropagatedFlat {
     double* bursts = nullptr;
     bool* flow_unbounded = nullptr;
@@ -138,49 +114,26 @@ class E2eAnalysis {
                                 const FlatPaths& paths,
                                 nc::Arena& arena) const;
 
-  /// chain_for() on arena curves; the returned view lives in `arena`.
+  /// The residual NoC service chain of flows[self_idx] (convolution of its
+  /// per-link blind-multiplexing residuals), or nullopt when a link on the
+  /// path leaves it no service. The returned view lives in `arena`.
   std::optional<nc::CurveView> chain_view_for(
       const std::vector<AppRequirement>& flows, std::size_t self_idx,
       const PropagatedFlat& propagated, const FlatPaths& paths,
       nc::Arena& arena) const;
 
-  /// dram_service() on arena curves.
-  nc::CurveView dram_service_view(const AppRequirement& req,
-                                  const std::vector<AppRequirement>& others,
-                                  nc::Arena& arena) const;
-
-  /// dram_service_view over a pre-filtered list: `dram_flows[0..n)` must
-  /// hold exactly the uses_dram flows of the set, in the same relative
-  /// order the full flow vector would present them (admission order);
-  /// `req` itself may appear and is skipped by app id. The write/read
-  /// aggregation then sums in the same order as dram_service_view over the
-  /// full vector, so the result is bit-identical. Pointers are borrowed
-  /// for the call.
+  /// Residual DRAM read service for `req` given the set's DRAM flows:
+  /// their traffic feeds the write-batch interference of the WCD analysis,
+  /// their reads occupy queue positions ahead. `dram_flows[0..n)` must hold
+  /// exactly the uses_dram flows of the set in admission order (the order
+  /// the per-flow sums run in, so a slice caller gets bit-identical values
+  /// to the full run); `req` itself may appear and is skipped by app id.
+  /// Pointers are borrowed for the call; the view lives in `arena`.
   nc::CurveView dram_service_from(const AppRequirement& req,
                                   const AppRequirement* const* dram_flows,
                                   std::size_t n, nc::Arena& arena) const;
 
  private:
-  /// Per-flow, per-hop burst sizes (in each flow's own packets) after the
-  /// link-delay fixpoint; empty optional when it diverges.
-  struct PropagatedBursts {
-    // bursts[f][h]: burst of flow f at its h-th link.
-    std::vector<std::vector<double>> bursts;
-    std::vector<bool> flow_unbounded;
-  };
-  std::optional<PropagatedBursts> propagate(
-      const std::vector<AppRequirement>& flows,
-      const std::vector<std::vector<PathLink>>& paths) const;
-
-  /// The residual NoC service chain of flows[self_idx], built from a
-  /// shared propagation result (`paths` parallel to `flows`).
-  std::optional<nc::Curve> chain_for(
-      const std::vector<AppRequirement>& flows, std::size_t self_idx,
-      const PropagatedBursts& propagated,
-      const std::vector<std::vector<PathLink>>& paths) const;
-
-  nc::Curve link_beta_flits(bool injection) const;
-
   PlatformModel model_;
   noc::Mesh2D mesh_;
 };

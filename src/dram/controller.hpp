@@ -25,7 +25,8 @@
 // whether rows stay open are delegated to a SchedulerPolicy; everything
 // the policies share (queues, refresh precedence, timing, tracing,
 // counters, MPAM priority classes) stays here. The default FR-FCFS policy
-// is bit-identical to the pre-strategy `FrFcfsController`.
+// is bit-identical to the controller's pre-strategy monolithic FR-FCFS
+// engine (bench/golden/ablation_dram_policy_frfcfs_ddr3.csv).
 #pragma once
 
 #include <deque>
@@ -119,12 +120,6 @@ class Controller {
  public:
   Controller(sim::Kernel& kernel, const Timings& timings,
              const ControllerConfig& config);
-
-  /// Pre-builder shim: constructs from a raw aggregate, aborting on invalid
-  /// values instead of reporting which rule was violated.
-  [[deprecated("construct from a validated dram::ControllerConfig")]]
-  Controller(sim::Kernel& kernel, const Timings& timings,
-             const ControllerParams& params);
 
   /// Enqueue a request at the current simulation time.
   void submit(Request request);
@@ -221,9 +216,5 @@ class Controller {
   LatencyHistogram read_latency_;
   LatencyHistogram write_latency_;
 };
-
-/// Pre-redesign name of the policy-generic controller.
-using FrFcfsController [[deprecated("renamed to dram::Controller")]] =
-    Controller;
 
 }  // namespace pap::dram

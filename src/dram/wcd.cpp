@@ -109,8 +109,11 @@ double WcdAnalysis::interference_utilization() const {
   return write_share + refresh_share;
 }
 
-std::pair<Time, int> WcdAnalysis::fixpoint_from(Time counted_base, Time warm,
-                                                bool* converged) const {
+// Out of line on purpose: this loop is where service_curve_view spends its
+// time, and as a function of its own its code placement, and so its speed,
+// does not shift with the layout of the callers it would be inlined into.
+[[gnu::noinline]] std::pair<Time, int> WcdAnalysis::fixpoint_from(
+    Time counted_base, Time warm, bool* converged) const {
   Time window = std::max(counted_base, warm);
   int iters = 0;
   *converged = true;
@@ -161,36 +164,16 @@ WcdBounds WcdAnalysis::bounds(int n) const {
   return out;
 }
 
-namespace {
-
-/// Assemble the service curve from its (t_N, N) points. The asymptotic rate
-/// comes from the last step (requests per ns under steady interference).
-nc::Curve curve_from_wcd_points(const std::vector<std::pair<Time, double>>& points,
-                                Time row_cycle, bool truncated) {
-  // A truncated point list means the next queue position's window blew
-  // through the divergence cut-off: past write-service saturation no finite
-  // window serves it, so the curve ends flat — zero asymptotic rate — and
-  // an empty list is the all-zero service.
-  if (points.empty()) return nc::Curve::constant(0.0);
-  double tail;
-  if (truncated) {
-    tail = 0.0;
-  } else if (points.size() >= 2) {
-    const double dt =
-        (points.back().first - points[points.size() - 2].first).nanos();
-    tail = dt > 0 ? 1.0 / dt : 0.0;
-  } else {
-    tail = 1.0 / row_cycle.nanos();
-  }
-  std::vector<std::pair<double, double>> pts;
-  pts.reserve(points.size());
-  for (const auto& [tt, nn] : points) pts.emplace_back(tt.nanos(), nn);
-  return nc::Curve::from_points(pts, tail);
+nc::Curve WcdAnalysis::service_curve(int max_n) const {
+  // Private scratch, rewound per call; never thread_arena(), whose views
+  // callers may hold across this call.
+  thread_local nc::Arena scratch(1 << 12);
+  scratch.reset();
+  return nc::to_curve(service_curve_view(max_n, scratch));
 }
 
-}  // namespace
-
-nc::Curve WcdAnalysis::service_curve(int max_n) const {
+nc::CurveView WcdAnalysis::service_curve_view(int max_n,
+                                              nc::Arena& arena) const {
   PAP_CHECK(max_n >= 1);
   // Each queue position adds exactly one row cycle to the counted window
   // base, so the least fixpoints satisfy LFP_n >= LFP_{n-1} + tRC: the
@@ -198,10 +181,12 @@ nc::Curve WcdAnalysis::service_curve(int max_n) const {
   // iteration refines to the identical least fixpoint. Total cost is one
   // full fixpoint plus a handful of catch-up iterations per point.
   const Time hit_block = hit_block_time();
-  std::vector<std::pair<Time, double>> points;
-  points.reserve(static_cast<std::size_t>(max_n));
-  Time prev = Time::zero();
+  double* px = arena.alloc<double>(static_cast<std::size_t>(max_n));
+  double* py = arena.alloc<double>(static_cast<std::size_t>(max_n));
+  Time prev = Time::zero();    // window of the last point
+  Time before = Time::zero();  // window of the point before it
   bool truncated = false;
+  int npoints = 0;
   for (int n = 1; n <= max_n; ++n) {
     const Time counted_base = miss_service_time(n) + hit_block;
     const Time warm =
@@ -218,72 +203,29 @@ nc::Curve WcdAnalysis::service_curve(int max_n) const {
       truncated = true;
       break;
     }
+    before = prev;
     prev = window;
-    points.emplace_back(window, static_cast<double>(n));
+    px[npoints++] = window.nanos();
   }
-  return curve_from_wcd_points(points, t_.row_cycle(), truncated);
-}
-
-nc::CurveView WcdAnalysis::service_curve_view(int max_n,
-                                              nc::Arena& arena) const {
-  // Mirror of service_curve + curve_from_wcd_points on arena storage: the
-  // fixpoint points stay integer Times so the tail slope is computed from
-  // the same Time-difference expression, bit for bit.
-  PAP_CHECK(max_n >= 1);
-  const Time hit_block = hit_block_time();
-  auto* times = arena.alloc<Time>(static_cast<std::size_t>(max_n));
-  auto* counts = arena.alloc<double>(static_cast<std::size_t>(max_n));
-  Time prev = Time::zero();
-  bool truncated = false;
-  int npoints = 0;
-  for (int n = 1; n <= max_n; ++n) {
-    const Time counted_base = miss_service_time(n) + hit_block;
-    const Time warm =
-        (n == 1) ? counted_base : std::max(counted_base, prev + t_.row_cycle());
-    bool conv = true;
-    Time window = fixpoint_from(counted_base, warm, &conv).first;
-    if (!conv && warm > counted_base) {
-      window = fixpoint_from(counted_base, counted_base, &conv).first;
-    }
-    if (!conv) {
-      truncated = true;
-      break;
-    }
-    prev = window;
-    times[n - 1] = window;
-    counts[n - 1] = static_cast<double>(n);
-    ++npoints;
-  }
+  for (int n = 0; n < npoints; ++n) py[n] = static_cast<double>(n + 1);
+  // A truncated point list means the next queue position's window blew
+  // through the divergence cut-off: past write-service saturation no finite
+  // window serves it, so the curve ends flat — zero asymptotic rate — and
+  // an empty list is the all-zero service. Otherwise the asymptotic rate
+  // comes from the last step (requests per ns under steady interference).
   if (npoints == 0) return nc::constant_view(arena, 0.0);
   double tail;
   if (truncated) {
     tail = 0.0;
   } else if (npoints >= 2) {
-    const double dt = (times[npoints - 1] - times[npoints - 2]).nanos();
+    // From the integer windows, not the rounded abscissae.
+    const double dt = (prev - before).nanos();
     tail = dt > 0 ? 1.0 / dt : 0.0;
   } else {
     tail = 1.0 / t_.row_cycle().nanos();
   }
-  auto* px = arena.alloc<double>(static_cast<std::size_t>(max_n));
-  for (int n = 0; n < npoints; ++n) px[n] = times[n].nanos();
-  return nc::from_points_view(arena, px, counts,
+  return nc::from_points_view(arena, px, py,
                               static_cast<std::uint32_t>(npoints), tail);
-}
-
-nc::Curve WcdAnalysis::service_curve_reference(int max_n) const {
-  PAP_CHECK(max_n >= 1);
-  std::vector<std::pair<Time, double>> points;
-  points.reserve(static_cast<std::size_t>(max_n));
-  bool truncated = false;
-  for (int n = 1; n <= max_n; ++n) {
-    const WcdBounds b = bounds(n);
-    if (!b.converged) {
-      truncated = true;
-      break;
-    }
-    points.emplace_back(b.upper, static_cast<double>(n));
-  }
-  return curve_from_wcd_points(points, t_.row_cycle(), truncated);
 }
 
 Time WcdAnalysis::gap_bound() const {

@@ -37,7 +37,7 @@
 #pragma once
 
 #include <optional>
-#include <vector>
+#include <utility>
 
 #include "common/time.hpp"
 #include "dram/controller.hpp"
@@ -83,25 +83,22 @@ class WcdAnalysis {
 
   /// "The curve that joins points (t_N, N) is a service curve for this
   /// system" — built from the upper bounds for N = 1..max_n, extended with
-  /// the asymptotic service rate.
+  /// the asymptotic service rate (the last step's; zero when a deeper
+  /// position diverges past write-service saturation, where the curve
+  /// ends).
   ///
   /// Incremental: the counted window base grows by exactly one row cycle per
   /// queue position, so LFP_n >= LFP_{n-1} + tRC and each point's fixpoint
   /// warm-starts from the previous one — the whole curve costs one fixpoint
   /// run plus O(1) amortised refinement per point instead of re-running the
-  /// iteration from scratch for every N. Produces bit-identical points to
-  /// service_curve_reference (Time is integer picoseconds).
+  /// iteration from scratch for every N. The points are exactly the
+  /// upper_bound(n) values (Time is integer picoseconds).
   nc::Curve service_curve(int max_n) const;
 
-  /// service_curve built on arena storage — same points, same tail, zero
-  /// heap allocation; the returned view lives in `arena`. Used by the
+  /// service_curve on arena storage — the one construction; service_curve
+  /// copies its result out. The returned view lives in `arena`. Used by the
   /// arena-backed e2e analysis (core::E2eAnalysis::e2e_bounds_into).
   nc::CurveView service_curve_view(int max_n, nc::Arena& arena) const;
-
-  /// The pre-optimization construction (one cold fixpoint per point,
-  /// O(max_n * iterations)); retained for benchmarking and as the oracle the
-  /// incremental version is tested against.
-  nc::Curve service_curve_reference(int max_n) const;
 
   /// Long-run fraction of controller time consumed by write batches and
   /// refreshes; the fixpoint converges iff this is < 1.

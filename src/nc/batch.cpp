@@ -19,8 +19,8 @@ bool nearly_equal(double a, double b) {
   return std::fabs(a - b) <= kEps * scale;
 }
 
-// seg_eval(segment i of v, t) in SoA form — the one evaluation expression
-// every kernel here shares with curve.cpp, so values agree bit for bit.
+// Value of segment i of v at t — the one evaluation expression every
+// kernel shares, so a value computed by two kernels agrees bit for bit.
 double seg_eval(CurveView v, std::uint32_t i, double t) {
   return v.y[i] + v.slope[i] * (t - v.x[i]);
 }
@@ -60,8 +60,11 @@ void push_seg(Arena& arena, MutCurveView* v, double x, double y, double slope) {
   ++v->n;
 }
 
-/// Mirror of Curve::Cursor over a view: amortized-O(1) eval/inverse for
-/// monotone query sequences, bit-identical to the full-scan versions.
+/// Evaluation cursor: remembers the segment the previous query landed in, so
+/// a non-decreasing sequence of eval() / inverse() calls costs amortized
+/// O(1) per query — the access pattern of the deviation merge walks. Queries
+/// that jump backwards fall back to a fresh search; results are
+/// bit-identical to CurveView::eval / inverse either way.
 struct ViewCursor {
   CurveView c;
   std::uint32_t ei = 0;  ///< eval cursor: last segment evaluated
@@ -81,6 +84,10 @@ struct ViewCursor {
   std::optional<double> inverse(double v) {
     if (v <= c.y[0]) return 0.0;
     if (v < c.y[ii]) ii = 0;  // far backward jump: restart the scan
+    // Step back while an earlier segment could still answer this query (its
+    // end value reaches v within tolerance): this keeps the resumed scan
+    // identical to the full scan even when v sits exactly on a segment
+    // boundary or a plateau value.
     while (ii > 0 && v <= c.y[ii] + kEps) --ii;
     for (; ii < c.n; ++ii) {
       const bool last = (ii + 1 == c.n);
@@ -102,10 +109,13 @@ struct ViewCursor {
 
 template <CombineOp Op>
 MutCurveView combine_raw_mut(Arena& arena, CurveView a, CurveView b) {
-  // Mirror of combine_raw (curve.cpp): two-pointer merge with exact
-  // slope-derived crossings. Each loop iteration emits one segment and
-  // advances past a breakpoint or a crossing, so 2*(n+m)+2 covers the
-  // output without growth in all but adversarial near-tie inputs.
+  // Two-pointer merge with exact slope-derived crossings. At every
+  // elementary interval both inputs are linear; the crossing of the two
+  // active lines (if it falls strictly inside) splits the interval so the
+  // combination stays linear on each emitted piece. Each loop iteration
+  // emits one segment and advances past a breakpoint or a crossing, so
+  // 2*(n+m)+2 covers the output without growth in all but adversarial
+  // near-tie inputs.
   MutCurveView out = alloc_curve_view(arena, 2 * (a.n + b.n) + 2);
   std::uint32_t ia = 0;
   std::uint32_t ib = 0;
@@ -119,6 +129,8 @@ MutCurveView combine_raw_mut(Arena& arena, CurveView a, CurveView b) {
     const double xb = (ib + 1 < b.n) ? b.x[ib + 1] : kInf;
     const double x2 = std::min(xa, xb);
 
+    // Exact crossing of the active lines strictly inside (x, x2):
+    // va + sa*d = vb + sb*d  =>  d = (vb - va) / (sa - sb).
     double xc = kInf;
     if (!nearly_equal(sa, sb)) {
       const double cand = x + (vb - va) / (sa - sb);
@@ -129,10 +141,16 @@ MutCurveView combine_raw_mut(Arena& arena, CurveView a, CurveView b) {
     const double v = combine2<Op>(va, vb);
     double slope;
     if (xe < kInf) {
+      // Bounded piece: slope from the exact values at both ends, taken from
+      // the segment active *at* xe (the one starting there when xe is a
+      // breakpoint), i.e. the value eval(xe) returns.
       const double vae = (xe >= xa) ? a.y[ia + 1] : seg_eval(a, ia, xe);
       const double vbe = (xe >= xb) ? b.y[ib + 1] : seg_eval(b, ib, xe);
       slope = (combine2<Op>(vae, vbe) - v) / (xe - x);
     } else {
+      // Final ray: any tail crossing was split out above, so the pointwise
+      // winner is stable; a one-unit probe of the active lines is exact for
+      // min, max and linear combinations.
       slope = combine2<Op>(seg_eval(a, ia, x + 1.0), seg_eval(b, ib, x + 1.0)) -
               v;
     }
@@ -140,6 +158,8 @@ MutCurveView combine_raw_mut(Arena& arena, CurveView a, CurveView b) {
 
     if (xe == kInf) break;
     x = xe;
+    // Advance whichever input(s) break here; breakpoints within kEps of
+    // each other advance together.
     if (ia + 1 < a.n && (xe >= xa || nearly_equal(xe, xa))) ++ia;
     if (ib + 1 < b.n && (xe >= xb || nearly_equal(xe, xb))) ++ib;
   }
@@ -163,7 +183,10 @@ MutCurveView combine_raw_dispatch(Arena& arena, CurveView a, CurveView b,
 }
 
 MutCurveView positive_closure_mut(Arena& arena, CurveView raw) {
-  // Mirror of positive_nondecreasing_closure (curve.cpp).
+  // Sweep left to right keeping the running maximum `best` of max(f, 0).
+  // Invariant at the start of each interval [x1, x2): f(x1) <= best,
+  // because best is the supremum of a continuous f over [0, x1] (clamped
+  // at 0).
   PAP_CHECK(raw.n > 0);
   PAP_CHECK_MSG(nearly_equal(raw.x[0], 0.0), "raw curve must start at 0");
   MutCurveView out = alloc_curve_view(arena, 2 * raw.n + 2);
@@ -171,17 +194,19 @@ MutCurveView positive_closure_mut(Arena& arena, CurveView raw) {
   push_seg(arena, &out, 0.0, best, 0.0);
   for (std::uint32_t i = 0; i < raw.n; ++i) {
     const bool last = (i + 1 == raw.n);
-    if (raw.slope[i] <= 0.0) continue;
+    if (raw.slope[i] <= 0.0) continue;  // f stays below best: stay flat
     const double x_end = last ? kInf : raw.x[i + 1];
     const double v_end =
         last ? kInf : raw.y[i] + raw.slope[i] * (x_end - raw.x[i]);
-    if (v_end <= best + kEps) continue;
+    if (v_end <= best + kEps) continue;  // never overtakes within the span
+    // Crossing point where f catches up with the running max.
     const double xc = raw.y[i] >= best
                           ? raw.x[i]
                           : raw.x[i] + (best - raw.y[i]) / raw.slope[i];
     push_seg(arena, &out, xc, best, raw.slope[i]);
     if (last) break;
     best = v_end;
+    // After the span the next piece may dip below; anchor a flat plateau.
     push_seg(arena, &out, x_end, best, 0.0);
   }
   normalize_view(&out);
@@ -189,9 +214,10 @@ MutCurveView positive_closure_mut(Arena& arena, CurveView raw) {
 }
 
 CurveView convolve_convex_view(Arena& arena, CurveView f, CurveView g) {
-  // Mirror of convolve_convex (ops.cpp). The pieces array is built in the
-  // same order (f's then g's) and sorted with the same comparator, so the
-  // unstable sort produces the same permutation deterministically.
+  // Concatenate the finite (slope, length) pieces of both curves in slope
+  // order; pieces at or above the smaller tail slope are absorbed by the
+  // infinite tail. The pieces are collected f's first, then g's, and
+  // sorted by (slope, length), so the order is fully deterministic.
   PAP_CHECK_MSG(f.value_at_zero() <= kEps && g.value_at_zero() <= kEps,
                 "convex convolution expects service curves with f(0) = 0");
   const std::size_t np =
@@ -249,9 +275,12 @@ std::optional<double> CurveView::inverse(double v) const {
   return std::nullopt;
 }
 
-// Mirror of Curve::is_concave/is_convex, including the looser shape
-// tolerance (see curve.cpp kShapeEps): slope order noise from closure
-// arithmetic must classify, not crash.
+// Shape classification tolerates slope wobble well above the value
+// tolerance: residual/closure arithmetic on segments with large x can leave
+// adjacent slopes out of order by ~1e-9 (Δy rounding divided by a merely
+// large Δx), and convolve_view sorts pieces by slope anyway, so
+// sub-tolerance disorder never changes which algorithm is correct — a
+// strict gate only turns float noise into a crash.
 constexpr double kShapeEps = 1e-6;
 
 bool CurveView::is_concave() const {
@@ -276,10 +305,9 @@ MutCurveView alloc_curve_view(Arena& arena, std::uint32_t cap) {
 }
 
 void normalize_view(MutCurveView* v) {
-  // In-place mirror of Curve::normalize(): identical checks and clamps,
-  // then the zero-width-dedup and collinear-merge passes as two sequential
-  // compactions (the write index never overtakes the read index, so the
-  // arrays compact in place without scratch storage).
+  // Checks and clamps, then the zero-width-dedup and collinear-merge passes
+  // as two sequential compactions (the write index never overtakes the
+  // read index, so the arrays compact in place without scratch storage).
   double* x = v->x;
   double* y = v->y;
   double* sl = v->slope;
@@ -327,27 +355,6 @@ void normalize_view(MutCurveView* v) {
   v->n = w;
 }
 
-CurveView to_view(Arena& arena, const Curve& c) {
-  const auto& segs = c.segments();
-  MutCurveView m = alloc_curve_view(arena, static_cast<std::uint32_t>(segs.size()));
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    m.x[i] = segs[i].x;
-    m.y[i] = segs[i].y;
-    m.slope[i] = segs[i].slope;
-  }
-  m.n = static_cast<std::uint32_t>(segs.size());
-  return m;
-}
-
-Curve to_curve(CurveView v) {
-  std::vector<Segment> segs;
-  segs.reserve(v.n);
-  for (std::uint32_t i = 0; i < v.n; ++i) {
-    segs.push_back(Segment{v.x[i], v.y[i], v.slope[i]});
-  }
-  return Curve{std::move(segs)};
-}
-
 CurveView affine_view(Arena& arena, double value0, double slope) {
   MutCurveView m = alloc_curve_view(arena, 1);
   m.x[0] = 0.0;
@@ -379,7 +386,6 @@ CurveView rate_latency_view(Arena& arena, double rate, double latency) {
 
 CurveView from_points_view(Arena& arena, const double* px, const double* py,
                            std::uint32_t npoints, double final_slope) {
-  // Mirror of Curve::from_points over parallel arrays.
   PAP_CHECK_MSG(npoints > 0, "need at least one point");
   MutCurveView out = alloc_curve_view(arena, npoints + 1);
   double ax = 0.0;
@@ -422,8 +428,8 @@ CurveView positive_closure_view(Arena& arena, CurveView raw) {
 }
 
 CurveView residual_blind_view(Arena& arena, CurveView beta, CurveView cross) {
-  // Mirror of ops.cpp residual_blind: the *raw* subtraction (which may dip
-  // negative / decrease) feeds the closure, exactly like the scalar path.
+  // The *raw* subtraction (which may dip negative / decrease) feeds the
+  // closure.
   MutCurveView raw = combine_raw_mut<CombineOp::kSub>(arena, beta, cross);
   return positive_closure_mut(arena, raw);
 }
@@ -440,7 +446,13 @@ CurveView convolve_view(Arena& arena, CurveView f, CurveView g) {
 }
 
 bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
-  // Mirror of ops.cpp deconvolve: rotating-tangent walk, O(n + m).
+  // Rotating-tangent walk, O(n + m). For concave f and convex g the
+  // objective phi_t(u) = f(t+u) - g(u) is concave in u, so the smallest
+  // maximizer u*(t) is characterised by the slope sandwich
+  //     f'((t+u)^+) <= g'(u^+)   and   f'((t+u)^-) >= g'(u^-).
+  // As t grows, u*(t) only decreases and s*(t) = t + u*(t) only increases,
+  // so one pointer descends g's pieces while the other ascends f's pieces
+  // and every breakpoint is visited at most once.
   PAP_CHECK_MSG(f.is_concave(), "deconvolve expects a concave arrival curve");
   PAP_CHECK_MSG(g.is_convex(), "deconvolve expects a convex service curve");
   *out = CurveView{};
@@ -449,6 +461,8 @@ bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
   const std::uint32_t nf = f.n;
   const std::uint32_t ng = g.n;
 
+  // Find u0 = u*(0): the smallest u with f'(u^+) <= g'(u^+), by walking
+  // the merged breakpoints while f' still exceeds g'.
   std::uint32_t i = 0;  // f piece containing s = t + u (right piece)
   std::uint32_t j = 0;  // g piece with g.x[j] <= u
   double u0 = 0.0;
@@ -477,10 +491,12 @@ bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
   ++k;
   for (;;) {
     if (u > 0.0) {
+      // Left piece of g at u: the piece strictly containing (u - eps).
       std::uint32_t jl = j;
       if (jl > 0 && g.x[jl] >= u) --jl;
       const double gl = g.slope[jl];
       if (gl >= f.slope[i]) {
+        // Retreat u to that piece's start; h grows at g's slope there.
         const double du = u - g.x[jl];
         t += du;
         h += gl * du;
@@ -493,6 +509,7 @@ bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
         continue;
       }
     }
+    // Advance s through f's piece i; h grows at f's slope there.
     if (i + 1 == nf) break;  // tail: h follows f's final slope forever
     const double ds = f.x[i + 1] - s;
     t += ds;
@@ -509,7 +526,11 @@ bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out) {
 }
 
 std::optional<double> h_deviation_view(CurveView alpha, CurveView beta) {
-  // Mirror of ops.cpp h_deviation, cursors and all.
+  // Candidates: alpha's breakpoints plus the first times alpha reaches
+  // each of beta's breakpoint values; between them
+  // t -> beta^{-1}(alpha(t)) - t is linear. They are generated in merged
+  // (sorted) order, so all three curve lookups ride cursors and the whole
+  // scan is O(n + m).
   if (alpha.final_slope() > beta.final_slope() + kEps) return std::nullopt;
 
   ViewCursor alpha_inv{alpha};
@@ -523,10 +544,11 @@ std::optional<double> h_deviation_view(CurveView alpha, CurveView beta) {
   bool tb_computed = false;
   while (ia < alpha.n || ib < beta.n) {
     if (!tb_computed && ib < beta.n) {
-      tb = alpha_inv.inverse(beta.y[ib]);
+      tb = alpha_inv.inverse(beta.y[ib]);  // beta.y is non-decreasing in ib
       tb_computed = true;
       if (!tb) {
-        // alpha plateaus below this level: no time ever reaches it.
+        // alpha plateaus below this level: no time ever reaches it, so it
+        // (and every higher beta breakpoint) contributes no candidate.
         ib = beta.n;
         continue;
       }
@@ -540,6 +562,9 @@ std::optional<double> h_deviation_view(CurveView alpha, CurveView beta) {
       tb_computed = false;
     }
     const auto bx = beta_inv.inverse(alpha_ev.eval(t));
+    // beta saturates below alpha(t): only bounded if alpha also saturates
+    // at or below beta's plateau, which the slope check did not exclude.
+    // Report unbounded.
     if (!bx) return std::nullopt;
     worst = std::max(worst, *bx - t);
   }
@@ -547,7 +572,9 @@ std::optional<double> h_deviation_view(CurveView alpha, CurveView beta) {
 }
 
 std::optional<double> v_deviation_view(CurveView alpha, CurveView beta) {
-  // Mirror of ops.cpp v_deviation.
+  // Two-pointer merge over both breakpoint lists with cursor evals: the
+  // difference is linear between merged breakpoints, so its sup sits on one
+  // of them. O(n + m).
   if (alpha.final_slope() > beta.final_slope() + kEps) return std::nullopt;
   ViewCursor ac{alpha};
   ViewCursor bc{beta};
@@ -567,8 +594,10 @@ std::optional<double> v_deviation_view(CurveView alpha, CurveView beta) {
 }
 
 CurveView convex_minorant_view(Arena& arena, CurveView c) {
-  // Mirror of service.cpp convex_minorant: Andrew's monotone chain lower
-  // hull over the breakpoints, then the tail-slope trim.
+  // Andrew's monotone chain lower hull over the breakpoints (already
+  // x-sorted). The tail keeps the curve's final slope, which must not be
+  // below the hull's last slope for the result to stay convex: drop hull
+  // points until it is.
   double* hx = arena.alloc<double>(c.n);
   double* hy = arena.alloc<double>(c.n);
   std::uint32_t hn = 0;
@@ -605,80 +634,6 @@ CurveView convex_minorant_view(Arena& arena, CurveView c) {
   out.n = hn;
   normalize_view(&out);
   return out;
-}
-
-void CurveBatch::push_back(const Curve& c) {
-  PAP_CHECK_MSG(arena_ != nullptr, "CurveBatch has no arena to copy into");
-  views_.push_back(to_view(*arena_, c));
-}
-
-namespace {
-
-template <CombineOp Op>
-void combine_all_impl(Arena& arena, const CurveBatch& a, const CurveBatch& b,
-                      CurveBatch* out) {
-  const std::size_t count = a.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    MutCurveView raw = combine_raw_mut<Op>(arena, a[i], b[i]);
-    normalize_view(&raw);
-    out->push_back(raw.view());
-  }
-}
-
-}  // namespace
-
-void combine_all(Arena& arena, const CurveBatch& a, const CurveBatch& b,
-                 CombineOp op, CurveBatch* out) {
-  PAP_CHECK(a.size() == b.size());
-  out->clear();
-  out->reserve(a.size());
-  switch (op) {
-    case CombineOp::kMin:
-      combine_all_impl<CombineOp::kMin>(arena, a, b, out);
-      break;
-    case CombineOp::kMax:
-      combine_all_impl<CombineOp::kMax>(arena, a, b, out);
-      break;
-    case CombineOp::kAdd:
-      combine_all_impl<CombineOp::kAdd>(arena, a, b, out);
-      break;
-    case CombineOp::kSub:
-      combine_all_impl<CombineOp::kSub>(arena, a, b, out);
-      break;
-  }
-}
-
-std::size_t deconvolve_all(Arena& arena, const CurveBatch& f,
-                           const CurveBatch& g, CurveBatch* out) {
-  PAP_CHECK(f.size() == g.size());
-  out->clear();
-  out->reserve(f.size());
-  std::size_t bounded = 0;
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    CurveView result;
-    if (deconvolve_view(arena, f[i], g[i], &result)) ++bounded;
-    out->push_back(result);
-  }
-  return bounded;
-}
-
-void deviations_all(const CurveBatch& alpha, const CurveBatch& beta,
-                    std::vector<Deviations>* out) {
-  PAP_CHECK(alpha.size() == beta.size());
-  out->clear();
-  out->reserve(alpha.size());
-  for (std::size_t i = 0; i < alpha.size(); ++i) {
-    Deviations d;
-    if (const auto h = h_deviation_view(alpha[i], beta[i])) {
-      d.h = *h;
-      d.h_bounded = true;
-    }
-    if (const auto v = v_deviation_view(alpha[i], beta[i])) {
-      d.v = *v;
-      d.v_bounded = true;
-    }
-    out->push_back(d);
-  }
 }
 
 }  // namespace pap::nc

@@ -1,25 +1,19 @@
-// Batched, arena-backed NC engine: struct-of-arrays curves plus
-// allocation-free variants of the hot kernels (curve.cpp / ops.cpp).
+// The Network Calculus kernels: struct-of-arrays curves (CurveView) and the
+// one implementation of every curve operation, written against storage the
+// caller controls — almost always an Arena (arena.hpp).
 //
-// A CurveView is the SoA equivalent of Curve: three parallel spans
-// (x, y, slope) over storage the caller controls — almost always an Arena
-// (arena.hpp). Every kernel here is an *exact arithmetic mirror* of its
-// scalar counterpart: same expressions, same evaluation order, same kEps
-// tolerances, so a view pipeline produces bit-identical doubles to the
-// legacy Curve pipeline. That identity is what lets core::E2eAnalysis run
-// its whole fixpoint on arena curves while fig6 / the admission service
-// keep byte-identical outputs, and it is pinned by tests/nc_batch_test.cpp
-// against both the scalar kernels and the nc::reference oracles.
-//
-// The batched entry points (combine_all / deconvolve_all / deviations_all)
-// process N curve pairs per call over CurveBatch storage: one bump
-// allocation per output curve, no invariant re-validation per intermediate,
-// and the combine operator resolved at compile time (template dispatch, not
-// a function pointer per point) so the inner loops stay tight.
+// These are the only NC kernels in the library. The Curve API (curve.hpp,
+// ops.hpp, bounds.hpp, service.hpp) is a thin owner that runs them on a
+// private scratch arena and copies the result out; core::E2eAnalysis and
+// the incremental admission engine call them directly on their decision
+// arenas, so a whole decision makes no heap allocation. The retained naive
+// originals the kernels are checked against live in the test-only oracle
+// library (tests/oracle).
 //
 // Ownership rules:
-//  * CurveView does not own; it is valid only while its arena epoch is
-//    unchanged (Arena::epoch()). Do not hold views across Arena::reset().
+//  * CurveView does not own; an arena-backed view is valid only while its
+//    arena epoch is unchanged (Arena::epoch()). Do not hold such views
+//    across Arena::reset(). Curve::view() is valid while the Curve lives.
 //  * Kernels write their result into the arena passed in and return a view
 //    of it; inputs and outputs may live in the same arena (outputs never
 //    alias inputs — each kernel allocates fresh storage).
@@ -28,39 +22,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "nc/arena.hpp"
 #include "nc/curve.hpp"
 
 namespace pap::nc {
-
-/// Non-owning SoA curve: segment i covers [x[i], x[i+1]) with value
-/// y[i] + slope[i] * (t - x[i]); the last segment extends to infinity.
-/// Invariants are those of Curve (x[0] == 0, continuous, non-decreasing,
-/// non-negative) whenever the view came out of a builder or kernel below;
-/// raw combine output (combine_raw_view) may violate them exactly like the
-/// std::vector<Segment> form from combine_raw.
-struct CurveView {
-  const double* x = nullptr;
-  const double* y = nullptr;
-  const double* slope = nullptr;
-  std::uint32_t n = 0;
-
-  bool empty() const { return n == 0; }
-  double value_at_zero() const { return y[0]; }
-  double final_slope() const { return slope[n - 1]; }
-  double last_breakpoint() const { return x[n - 1]; }
-
-  /// Same result as Curve::eval — binary search for the active segment.
-  double eval(double t) const;
-
-  /// Same result as Curve::inverse.
-  std::optional<double> inverse(double v) const;
-
-  bool is_concave() const;  ///< mirrors Curve::is_concave
-  bool is_convex() const;   ///< mirrors Curve::is_convex
-};
 
 /// Mutable view over freshly allocated (arena) storage; `cap` is the
 /// allocated segment capacity, `n` the used prefix. Converts to CurveView.
@@ -72,127 +38,68 @@ struct MutCurveView {
   std::uint32_t cap = 0;
 
   operator CurveView() const { return CurveView{x, y, slope, n}; }
-  CurveView view() const { return CurveView{x, y, slope, n}; }
 };
 
 /// One contiguous SoA allocation for up to `cap` segments.
 MutCurveView alloc_curve_view(Arena& arena, std::uint32_t cap);
 
-/// In-place mirror of Curve::normalize(): validates the invariants (same
-/// PAP_CHECKs), clamps -kEps noise, drops zero-width segments (later
-/// definition wins) and merges collinear neighbours (earlier anchor wins).
+/// Establish the Curve invariants in place: validates them (aborting on a
+/// negative, decreasing, discontinuous or unordered input), clamps -1e-9
+/// noise to zero, drops zero-width segments (later definition wins) and
+/// merges collinear neighbours (earlier anchor wins).
 void normalize_view(MutCurveView* v);
 
-/// Copy a Curve's segments into arena SoA storage.
-CurveView to_view(Arena& arena, const Curve& c);
-
-/// Materialize a view as an owning Curve (allocates; for results that must
-/// outlive the arena, and for tests).
-Curve to_curve(CurveView v);
-
-/// Builders mirroring the Curve named constructors (canonical normalized
-/// representation, bit-identical to e.g. to_view(arena, Curve::affine(...))).
+/// Named constructors (canonical normalized representation):
+/// f(t) = value0 + slope * t, the constant, and the rate-latency curve
+/// beta_{R,T}(t) = R * max(0, t - T).
 CurveView affine_view(Arena& arena, double value0, double slope);
 CurveView constant_view(Arena& arena, double value);
 CurveView rate_latency_view(Arena& arena, double rate, double latency);
 
-/// Mirror of Curve::from_points over parallel coordinate arrays.
+/// Piecewise-linear interpolation from (0, 0) through the points
+/// (px[i], py[i]) — x strictly increasing, values non-decreasing — extended
+/// with `final_slope`; a first point at x == 0 sets the value at 0.
 CurveView from_points_view(Arena& arena, const double* px, const double* py,
                            std::uint32_t npoints, double final_slope);
 
-/// The pointwise combination operators the scalar API passes as function
-/// pointers, enumerated so batched kernels can specialize the inner loop.
+/// The pointwise combination operators, resolved at compile time inside
+/// the merge loop.
 enum class CombineOp : std::uint8_t { kMin, kMax, kAdd, kSub };
 
-/// Mirror of combine_raw: two-pointer merge, exact slope-derived crossings;
-/// result may be negative/decreasing for kSub (feed positive_closure_view).
+/// Two-pointer merge of both breakpoint sets, O(n + m), applying `op`
+/// linearly on each elementary interval; crossing points come exactly from
+/// the active segment pair (value difference over slope difference), never
+/// from finite-difference probes, so sub-nanosecond segments are exact.
+/// The raw result may be negative/decreasing for kSub (feed
+/// positive_closure_view).
 CurveView combine_raw_view(Arena& arena, CurveView a, CurveView b,
                            CombineOp op);
 
-/// Mirror of combine_pointwise (combine_raw + Curve invariants).
+/// combine_raw_view plus the Curve invariants: min, max and sum of curves.
 CurveView combine_view(Arena& arena, CurveView a, CurveView b, CombineOp op);
 
-/// Mirror of positive_nondecreasing_closure.
+/// Running max with 0 of a raw piecewise-linear function: the non-negative,
+/// non-decreasing closure [f]^+.
 CurveView positive_closure_view(Arena& arena, CurveView raw);
 
-/// Mirror of ops.cpp residual_blind: [beta - cross]^+ closure.
+/// Residual service under blind multiplexing: [beta - cross]^+ closure.
 CurveView residual_blind_view(Arena& arena, CurveView beta, CurveView cross);
 
-/// Mirror of ops.cpp convolve (convex*convex and concave*concave).
+/// Min-plus convolution (convex*convex by slope-sorted piece merge, and
+/// concave*concave as the pointwise min); aborts on other shapes.
 CurveView convolve_view(Arena& arena, CurveView f, CurveView g);
 
-/// Mirror of ops.cpp deconvolve; returns false (and an empty *out) when the
-/// supremum is unbounded.
+/// Min-plus deconvolution of a concave f by a convex g (rotating-tangent
+/// walk, O(n + m)); returns false (and an empty *out) when the supremum is
+/// unbounded.
 bool deconvolve_view(Arena& arena, CurveView f, CurveView g, CurveView* out);
 
-/// Mirrors of ops.cpp h_deviation / v_deviation — allocation-free.
+/// Horizontal (delay) and vertical (backlog) deviation — allocation-free
+/// merge walks, O(n + m); nullopt when unbounded.
 std::optional<double> h_deviation_view(CurveView alpha, CurveView beta);
 std::optional<double> v_deviation_view(CurveView alpha, CurveView beta);
 
-/// Mirror of service.cpp convex_minorant (lower convex hull).
+/// Greatest convex curve below `c` (lower convex hull of the breakpoints).
 CurveView convex_minorant_view(Arena& arena, CurveView c);
-
-// ---------------------------------------------------------------------------
-// Batched multi-curve storage and entry points
-// ---------------------------------------------------------------------------
-
-/// A sequence of curves over one arena. The view list itself is a plain
-/// std::vector so a batch can be reused across arena epochs: clear() after
-/// Arena::reset() keeps the vector capacity, so steady-state refills make
-/// no heap allocation.
-class CurveBatch {
- public:
-  CurveBatch() = default;
-  explicit CurveBatch(Arena* arena) : arena_(arena) {}
-
-  /// (Re)bind the arena new curves are copied into. Views already stored
-  /// keep pointing at whatever arena they came from.
-  void attach(Arena* arena) { arena_ = arena; }
-  Arena* arena() const { return arena_; }
-
-  void clear() { views_.clear(); }
-  void reserve(std::size_t count) { views_.reserve(count); }
-  std::size_t size() const { return views_.size(); }
-  bool empty() const { return views_.empty(); }
-
-  /// Deep-copy `c` into the batch's arena.
-  void push_back(const Curve& c);
-
-  /// Store a view as-is (no copy); the caller guarantees its storage
-  /// outlives the batch's use.
-  void push_back(CurveView v) { views_.push_back(v); }
-
-  CurveView operator[](std::size_t i) const { return views_[i]; }
-  const std::vector<CurveView>& views() const { return views_; }
-
- private:
-  Arena* arena_ = nullptr;
-  std::vector<CurveView> views_;
-};
-
-/// out[i] = combine(a[i], b[i]) with Curve invariants, for all i in one
-/// call. `out` is cleared first; its stored views live in `arena`.
-void combine_all(Arena& arena, const CurveBatch& a, const CurveBatch& b,
-                 CombineOp op, CurveBatch* out);
-
-/// out[i] = deconvolve(f[i], g[i]), or an empty view when pair i is
-/// unbounded. Returns the number of bounded results.
-std::size_t deconvolve_all(Arena& arena, const CurveBatch& f,
-                           const CurveBatch& g, CurveBatch* out);
-
-/// Horizontal and vertical deviation of one (alpha, beta) pair; *_bounded
-/// false means the corresponding deviation is unbounded (the value field is
-/// then meaningless).
-struct Deviations {
-  double h = 0.0;
-  double v = 0.0;
-  bool h_bounded = false;
-  bool v_bounded = false;
-};
-
-/// out->at(i) = {h_deviation(alpha[i], beta[i]), v_deviation(...)} for all
-/// pairs in one call. Allocation-free once `out` has capacity.
-void deviations_all(const CurveBatch& alpha, const CurveBatch& beta,
-                    std::vector<Deviations>* out);
 
 }  // namespace pap::nc

@@ -1,11 +1,18 @@
+// The Curve owner and the Curve-level NC operations (curve.hpp, ops.hpp,
+// service.hpp's convex_minorant). Each operation runs the matching
+// batch.cpp kernel over the inputs' views on this thread's scratch arena
+// and copies the result out; none of them computes anything itself.
 #include "nc/curve.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "nc/arena.hpp"
+#include "nc/batch.hpp"
+#include "nc/ops.hpp"
+#include "nc/service.hpp"
 
 namespace pap::nc {
 
@@ -18,298 +25,96 @@ bool nearly_equal(double a, double b) {
   return std::fabs(a - b) <= kEps * scale;
 }
 
-double seg_eval(const Segment& s, double x) { return s.y + s.slope * (x - s.x); }
+/// Storage for the kernels behind one Curve operation, rewound on every
+/// call: results are copied out before the next operation starts. It is
+/// deliberately not thread_arena() — callers such as
+/// admit::IncrementalAdmission hold views into that one across Curve calls.
+Arena& scratch() {
+  thread_local Arena arena(1 << 12);
+  arena.reset();
+  return arena;
+}
+
+/// Normalize SoA storage holding `cap` segments as [x | y | slope] blocks
+/// of `cap` entries each, then close the gaps merged segments left behind.
+void normalize_soa(std::vector<double>* soa, std::uint32_t cap) {
+  double* d = soa->data();
+  MutCurveView m{d, d + cap, d + 2 * static_cast<std::size_t>(cap), cap, cap};
+  normalize_view(&m);
+  if (m.n == cap) return;
+  std::copy(m.y, m.y + m.n, d + m.n);
+  std::copy(m.slope, m.slope + m.n, d + 2 * static_cast<std::size_t>(m.n));
+  soa->resize(3 * static_cast<std::size_t>(m.n));
+}
 
 }  // namespace
 
-Curve::Curve() : segments_{Segment{0.0, 0.0, 0.0}} {}
+Curve::Curve() : soa_{0.0, 0.0, 0.0} {}
 
-Curve::Curve(std::vector<Segment> segments) : segments_(std::move(segments)) {
-  normalize();
+Curve::Curve(const std::vector<Segment>& segments)
+    : Curve(Uninit{}, static_cast<std::uint32_t>(segments.size())) {
+  const auto cap = static_cast<std::uint32_t>(segments.size());
+  for (std::uint32_t i = 0; i < cap; ++i) {
+    soa_[i] = segments[i].x;
+    soa_[cap + i] = segments[i].y;
+    soa_[2 * static_cast<std::size_t>(cap) + i] = segments[i].slope;
+  }
+  normalize_soa(&soa_, cap);
 }
 
-void Curve::normalize() {
-  PAP_CHECK_MSG(!segments_.empty(), "curve needs at least one segment");
-  PAP_CHECK_MSG(nearly_equal(segments_.front().x, 0.0),
-                "first segment must start at x = 0");
-  segments_.front().x = 0.0;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    PAP_CHECK_MSG(segments_[i].y >= -kEps, "curve must be non-negative");
-    PAP_CHECK_MSG(segments_[i].slope >= -kEps, "curve must be non-decreasing");
-    if (segments_[i].y < 0.0) segments_[i].y = 0.0;
-    if (segments_[i].slope < 0.0) segments_[i].slope = 0.0;
-    if (i + 1 < segments_.size()) {
-      PAP_CHECK_MSG(segments_[i + 1].x > segments_[i].x + kEps ||
-                        nearly_equal(segments_[i + 1].x, segments_[i].x),
-                    "breakpoints must be increasing");
-      PAP_CHECK_MSG(
-          nearly_equal(seg_eval(segments_[i], segments_[i + 1].x),
-                       segments_[i + 1].y),
-          "curve must be continuous");
-    }
-  }
-  // Drop zero-width segments, then merge collinear neighbours — two
-  // sequential in-place compaction passes (the write index never overtakes
-  // the read index), so construction allocates nothing beyond the caller's
-  // segment vector.
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const Segment s = segments_[i];
-    if (w > 0 && nearly_equal(s.x, segments_[w - 1].x)) {
-      segments_[w - 1] = s;  // later definition wins on a zero-width span
-      if (w == 1) segments_[0].x = 0.0;
-      continue;
-    }
-    segments_[w++] = s;
-  }
-  const std::size_t cleaned = w;
-  w = 0;
-  for (std::size_t i = 0; i < cleaned; ++i) {
-    if (w > 0 && nearly_equal(segments_[w - 1].slope, segments_[i].slope)) {
-      continue;  // same line continues; keep the earlier anchor
-    }
-    segments_[w++] = segments_[i];
-  }
-  segments_.resize(w);
-}
-
+// The two named constructors below fill their own storage and normalize it
+// in place — the curves are one or two segments, too small for a round
+// trip through the scratch arena to pay.
 Curve Curve::affine(double value0, double slope) {
-  return Curve{{Segment{0.0, value0, slope}}};
+  Curve c;  // one segment at x = 0
+  c.soa_[1] = value0;
+  c.soa_[2] = slope;
+  normalize_soa(&c.soa_, 1);
+  return c;
 }
 
 Curve Curve::constant(double value) { return affine(value, 0.0); }
 
 Curve Curve::rate_latency(double rate, double latency) {
   PAP_CHECK(rate >= 0.0 && latency >= 0.0);
-  if (latency <= 0.0) return affine(0.0, rate);
-  return Curve{{Segment{0.0, 0.0, 0.0}, Segment{latency, 0.0, rate}}};
+  // Flat zero up to `latency`, then `rate`; for a zero latency normalize
+  // folds the two segments into affine(0, rate).
+  Curve c(Uninit{}, 2);  // zeroed
+  c.soa_[1] = latency;
+  c.soa_[5] = rate;
+  normalize_soa(&c.soa_, 2);
+  return c;
 }
 
 Curve Curve::from_points(const std::vector<std::pair<double, double>>& points,
                          double final_slope) {
-  PAP_CHECK_MSG(!points.empty(), "need at least one point");
-  std::vector<Segment> segs;
-  segs.reserve(points.size() + 1);
-  double px = 0.0;
-  double py = 0.0;
-  if (nearly_equal(points.front().first, 0.0)) {
-    py = points.front().second;
+  Arena& arena = scratch();
+  const auto n = static_cast<std::uint32_t>(points.size());
+  double* px = arena.alloc<double>(n);
+  double* py = arena.alloc<double>(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    px[i] = points[i].first;
+    py[i] = points[i].second;
   }
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto [x, y] = points[i];
-    if (nearly_equal(x, 0.0)) continue;  // handled as value at 0
-    PAP_CHECK_MSG(x > px, "point abscissae must be strictly increasing");
-    PAP_CHECK_MSG(y >= py - kEps, "point values must be non-decreasing");
-    segs.push_back(Segment{px, py, (y - py) / (x - px)});
-    px = x;
-    py = y;
-  }
-  segs.push_back(Segment{px, py, final_slope});
-  return Curve{std::move(segs)};
+  return to_curve(from_points_view(arena, px, py, n, final_slope));
 }
 
-double Curve::eval(double x) const {
-  PAP_CHECK(x >= 0.0);
-  // Find the last segment with start <= x.
-  auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), x,
-      [](double v, const Segment& s) { return v < s.x; });
-  --it;
-  return seg_eval(*it, x);
-}
-
-std::optional<double> Curve::inverse(double y) const {
-  if (y <= segments_.front().y) return 0.0;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const Segment& s = segments_[i];
-    const bool last = (i + 1 == segments_.size());
-    const double end_value =
-        last ? std::numeric_limits<double>::infinity()
-             : seg_eval(s, segments_[i + 1].x);
-    if (y <= end_value + kEps) {
-      if (s.slope <= 0.0) {
-        // Flat segment: y is only reached if it equals the plateau value;
-        // otherwise keep scanning (the next segment starts higher).
-        if (y <= s.y + kEps) return s.x;
-        if (last) return std::nullopt;
-        continue;
-      }
-      if (y <= s.y) return s.x;
-      return s.x + (y - s.y) / s.slope;
-    }
-  }
-  return std::nullopt;
-}
-
-double Curve::Cursor::eval(double x) {
-  PAP_CHECK(x >= 0.0);
-  const auto& segs = c_->segments();
-  if (x < segs[ei_].x) {
-    // Backward jump: fall back to the same binary search eval() uses.
-    auto it = std::upper_bound(
-        segs.begin(), segs.end(), x,
-        [](double v, const Segment& s) { return v < s.x; });
-    ei_ = static_cast<std::size_t>(it - segs.begin()) - 1;
-  } else {
-    while (ei_ + 1 < segs.size() && segs[ei_ + 1].x <= x) ++ei_;
-  }
-  return seg_eval(segs[ei_], x);
-}
-
-double Curve::Cursor::slope_at(double x) {
-  eval(x);
-  return c_->segments()[ei_].slope;
-}
-
-std::optional<double> Curve::Cursor::inverse(double y) {
-  const auto& segs = c_->segments();
-  if (y <= segs.front().y) return 0.0;
-  if (y < segs[ii_].y) ii_ = 0;  // far backward jump: restart the scan
-  // Step back while an earlier segment could still answer this query (its
-  // end value reaches y within tolerance) — this keeps the resumed scan
-  // bit-identical to the full scan even when y sits exactly on a segment
-  // boundary or a plateau value. Collinear merging in normalize() bounds
-  // the walk to a couple of steps for non-degenerate curves.
-  while (ii_ > 0 && y <= segs[ii_].y + kEps) --ii_;
-  // Same scan as Curve::inverse, resumed from the segment the previous
-  // query ended in, so monotone query sequences touch each segment once.
-  for (; ii_ < segs.size(); ++ii_) {
-    const Segment& s = segs[ii_];
-    const bool last = (ii_ + 1 == segs.size());
-    const double end_value =
-        last ? std::numeric_limits<double>::infinity()
-             : seg_eval(s, segs[ii_ + 1].x);
-    if (y <= end_value + kEps) {
-      if (s.slope <= 0.0) {
-        // Flat segment: y is only reached if it equals the plateau value;
-        // otherwise keep scanning (the next segment starts higher).
-        if (y <= s.y + kEps) return s.x;
-        if (last) return std::nullopt;
-        continue;
-      }
-      if (y <= s.y) return s.x;
-      return s.x + (y - s.y) / s.slope;
-    }
-  }
-  ii_ = segs.size() - 1;
-  return std::nullopt;
-}
-
-// Shape classification tolerates slope wobble well above the value
-// tolerance: residual/closure arithmetic on segments with large x can
-// leave adjacent slopes out of order by ~1e-9 (Δy rounding divided by a
-// merely large Δx), and convolve_convex sorts pieces by slope anyway, so
-// sub-tolerance disorder never changes which algorithm is correct — a
-// strict gate only turns float noise into a crash.
-constexpr double kShapeEps = 1e-6;
-
-bool Curve::is_concave() const {
-  for (std::size_t i = 1; i < segments_.size(); ++i) {
-    if (segments_[i].slope > segments_[i - 1].slope + kShapeEps) return false;
-  }
-  return true;
-}
-
-bool Curve::is_convex() const {
-  if (segments_.front().y > kEps) return false;
-  for (std::size_t i = 1; i < segments_.size(); ++i) {
-    if (segments_[i].slope < segments_[i - 1].slope - kShapeEps) return false;
-  }
-  return true;
-}
-
-std::vector<Segment> combine_raw(const Curve& a, const Curve& b,
-                                 double (*combine)(double, double)) {
-  // Single-pass two-pointer merge over both segment lists: O(n + m), no
-  // breakpoint sort and no per-point binary search. At every elementary
-  // interval both inputs are linear; the crossing of the two active lines
-  // (if it falls strictly inside) is computed exactly from the segment pair
-  // so the combination stays linear on each emitted piece. The retained
-  // naive version is nc::reference::combine_raw.
-  const auto& as = a.segments();
-  const auto& bs = b.segments();
-  const double inf = std::numeric_limits<double>::infinity();
-
-  std::vector<Segment> out;
-  out.reserve(as.size() + bs.size() + 2);
-
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  double x = 0.0;
-  for (;;) {
-    // Values at the interval start, anchored on the active segments (same
-    // expression eval() uses, so results match the naive version bit for
-    // bit at shared breakpoints).
-    const double va = seg_eval(as[ia], x);
-    const double vb = seg_eval(bs[ib], x);
-    const double sa = as[ia].slope;
-    const double sb = bs[ib].slope;
-    const double xa = (ia + 1 < as.size()) ? as[ia + 1].x : inf;
-    const double xb = (ib + 1 < bs.size()) ? bs[ib + 1].x : inf;
-    const double x2 = std::min(xa, xb);
-
-    // Exact crossing of the active lines strictly inside (x, x2):
-    // va + sa*d = vb + sb*d  =>  d = (vb - va) / (sa - sb).
-    double xc = inf;
-    if (!nearly_equal(sa, sb)) {
-      const double cand = x + (vb - va) / (sa - sb);
-      if (cand > x + kEps && cand < x2 - kEps) xc = cand;
-    }
-    const double xe = std::min(x2, xc);
-
-    const double v = combine(va, vb);
-    double slope;
-    if (xe < inf) {
-      // Bounded piece: slope from the exact values at both ends. The end
-      // values come from whichever segment is active *at* xe (the segment
-      // starting there when xe is a breakpoint), matching eval(xe).
-      const double vae = (xe >= xa) ? as[ia + 1].y : seg_eval(as[ia], xe);
-      const double vbe = (xe >= xb) ? bs[ib + 1].y : seg_eval(bs[ib], xe);
-      slope = (combine(vae, vbe) - v) / (xe - x);
-    } else {
-      // Final ray: any tail crossing was split out above, so the pointwise
-      // winner is stable; a one-unit probe of the active lines is exact for
-      // min, max and linear combinations.
-      slope = combine(seg_eval(as[ia], x + 1.0), seg_eval(bs[ib], x + 1.0)) - v;
-    }
-    out.push_back(Segment{x, v, slope});
-
-    if (xe == inf) break;
-    x = xe;
-    // Advance whichever input(s) break here; near-coincident breakpoints
-    // (within kEps) advance together, mirroring the breakpoint dedup the
-    // naive version performed.
-    if (ia + 1 < as.size() && (xe >= xa || nearly_equal(xe, xa))) ++ia;
-    if (ib + 1 < bs.size() && (xe >= xb || nearly_equal(xe, xb))) ++ib;
+std::vector<Segment> Curve::segments() const {
+  const CurveView v = view();
+  std::vector<Segment> out(v.n);
+  for (std::uint32_t i = 0; i < v.n; ++i) {
+    out[i] = Segment{v.x[i], v.y[i], v.slope[i]};
   }
   return out;
 }
 
-Curve combine_pointwise(const Curve& a, const Curve& b,
-                        double (*combine)(double, double)) {
-  return Curve{combine_raw(a, b, combine)};
-}
-
-Curve min(const Curve& a, const Curve& b) {
-  return combine_pointwise(a, b, [](double u, double v) { return std::min(u, v); });
-}
-
-Curve max(const Curve& a, const Curve& b) {
-  return combine_pointwise(a, b, [](double u, double v) { return std::max(u, v); });
-}
-
-Curve add(const Curve& a, const Curve& b) {
-  return combine_pointwise(a, b, [](double u, double v) { return u + v; });
-}
-
 Curve Curve::scaled(double k) const {
   PAP_CHECK(k >= 0.0);
-  std::vector<Segment> segs = segments_;
-  for (auto& s : segs) {
-    s.y *= k;
-    s.slope *= k;
-  }
-  return Curve{std::move(segs)};
+  Curve out = *this;
+  const std::uint32_t n = size();
+  for (std::size_t i = n; i < out.soa_.size(); ++i) out.soa_[i] *= k;
+  normalize_soa(&out.soa_, n);
+  return out;
 }
 
 Curve Curve::shifted_right(double dx) const {
@@ -317,67 +122,106 @@ Curve Curve::shifted_right(double dx) const {
   if (dx == 0.0) return *this;
   PAP_CHECK_MSG(value_at_zero() <= kEps,
                 "shifting a curve with a burst at 0 would create a jump");
-  std::vector<Segment> segs;
-  segs.reserve(segments_.size() + 1);
-  segs.push_back(Segment{0.0, 0.0, 0.0});
-  for (const auto& s : segments_) segs.push_back(Segment{s.x + dx, s.y, s.slope});
-  return Curve{std::move(segs)};
-}
-
-Curve positive_nondecreasing_closure(const std::vector<Segment>& raw) {
-  PAP_CHECK(!raw.empty());
-  PAP_CHECK_MSG(nearly_equal(raw.front().x, 0.0), "raw curve must start at 0");
-  // Sweep left to right keeping the running maximum `best` of max(f, 0).
-  // Invariant at the start of each interval [x1, x2): f(x1) <= best, because
-  // best is the supremum of a continuous f over [0, x1] (clamped at 0).
-  std::vector<Segment> out;
-  out.reserve(2 * raw.size() + 2);
-  double best = std::max(0.0, raw.front().y);
-  out.push_back(Segment{0.0, best, 0.0});
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const Segment& s = raw[i];
-    const bool last = (i + 1 == raw.size());
-    if (s.slope <= 0.0) continue;  // f stays below best; closure stays flat
-    const double x_end = last ? std::numeric_limits<double>::infinity()
-                              : raw[i + 1].x;
-    const double v_end =
-        last ? std::numeric_limits<double>::infinity()
-             : s.y + s.slope * (x_end - s.x);
-    if (v_end <= best + kEps) continue;  // never overtakes within the span
-    // Crossing point where f catches up with the running max.
-    const double xc =
-        s.y >= best ? s.x : s.x + (best - s.y) / s.slope;
-    out.push_back(Segment{xc, best, s.slope});
-    if (last) break;
-    best = v_end;
-    // After the span the next piece may dip below; anchor a flat plateau.
-    out.push_back(Segment{x_end, best, 0.0});
+  // A flat zero piece on [0, dx) (the fresh storage is zeroed), then every
+  // segment moved right by dx.
+  const CurveView v = view();
+  const std::uint32_t cap = v.n + 1;
+  Curve out(Uninit{}, cap);
+  double* x = out.soa_.data();
+  double* y = x + cap;
+  double* slope = y + cap;
+  for (std::uint32_t i = 0; i < v.n; ++i) {
+    x[i + 1] = v.x[i] + dx;
+    y[i + 1] = v.y[i];
+    slope[i + 1] = v.slope[i];
   }
-  return Curve{std::move(out)};
+  normalize_soa(&out.soa_, cap);
+  return out;
 }
 
 std::string Curve::to_string() const {
+  const CurveView v = view();
   std::ostringstream os;
   os << "{";
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const auto& s = segments_[i];
+  for (std::uint32_t i = 0; i < v.n; ++i) {
     if (i) os << ", ";
-    os << "(x=" << s.x << ", y=" << s.y << ", m=" << s.slope << ")";
+    os << "(x=" << v.x[i] << ", y=" << v.y[i] << ", m=" << v.slope[i] << ")";
   }
   os << "}";
   return os.str();
 }
 
 bool operator==(const Curve& a, const Curve& b) {
-  if (a.segments_.size() != b.segments_.size()) return false;
-  for (std::size_t i = 0; i < a.segments_.size(); ++i) {
-    if (!nearly_equal(a.segments_[i].x, b.segments_[i].x) ||
-        !nearly_equal(a.segments_[i].y, b.segments_[i].y) ||
-        !nearly_equal(a.segments_[i].slope, b.segments_[i].slope)) {
-      return false;
-    }
+  if (a.soa_.size() != b.soa_.size()) return false;
+  for (std::size_t i = 0; i < a.soa_.size(); ++i) {
+    if (!nearly_equal(a.soa_[i], b.soa_[i])) return false;
   }
   return true;
+}
+
+Curve to_curve(CurveView v) {
+  PAP_CHECK_MSG(v.n > 0, "curve needs at least one segment");
+  Curve c(Curve::Uninit{}, v.n);
+  double* d = c.soa_.data();
+  std::copy(v.x, v.x + v.n, d);
+  std::copy(v.y, v.y + v.n, d + v.n);
+  std::copy(v.slope, v.slope + v.n, d + 2 * static_cast<std::size_t>(v.n));
+  return c;
+}
+
+Curve min(const Curve& a, const Curve& b) {
+  return to_curve(combine_view(scratch(), a.view(), b.view(), CombineOp::kMin));
+}
+
+Curve max(const Curve& a, const Curve& b) {
+  return to_curve(combine_view(scratch(), a.view(), b.view(), CombineOp::kMax));
+}
+
+Curve add(const Curve& a, const Curve& b) {
+  return to_curve(combine_view(scratch(), a.view(), b.view(), CombineOp::kAdd));
+}
+
+Curve positive_nondecreasing_closure(const std::vector<Segment>& raw) {
+  PAP_CHECK(!raw.empty());
+  Arena& arena = scratch();
+  MutCurveView v =
+      alloc_curve_view(arena, static_cast<std::uint32_t>(raw.size()));
+  for (const Segment& s : raw) {
+    v.x[v.n] = s.x;
+    v.y[v.n] = s.y;
+    v.slope[v.n] = s.slope;
+    ++v.n;
+  }
+  return to_curve(positive_closure_view(arena, v));
+}
+
+Curve convolve(const Curve& f, const Curve& g) {
+  return to_curve(convolve_view(scratch(), f.view(), g.view()));
+}
+
+std::optional<Curve> deconvolve(const Curve& f, const Curve& g) {
+  CurveView out;
+  if (!deconvolve_view(scratch(), f.view(), g.view(), &out)) {
+    return std::nullopt;
+  }
+  return to_curve(out);
+}
+
+std::optional<double> h_deviation(const Curve& alpha, const Curve& beta) {
+  return h_deviation_view(alpha.view(), beta.view());
+}
+
+std::optional<double> v_deviation(const Curve& alpha, const Curve& beta) {
+  return v_deviation_view(alpha.view(), beta.view());
+}
+
+Curve residual_blind(const Curve& beta, const Curve& alpha_cross) {
+  return to_curve(
+      residual_blind_view(scratch(), beta.view(), alpha_cross.view()));
+}
+
+Curve convex_minorant(const Curve& curve) {
+  return to_curve(convex_minorant_view(scratch(), curve.view()));
 }
 
 }  // namespace pap::nc

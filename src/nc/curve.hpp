@@ -10,10 +10,20 @@
 // whatever unit the caller chose (bytes for NoC links, requests for the
 // DRAM controller service curve of Sec. IV-A). Operations never mix units —
 // that discipline is on the caller, as in the paper.
+//
+// Implementation: the NC kernels live once, in batch.cpp, and operate on
+// CurveView spans. A Curve owns its segments in the same struct-of-arrays
+// layout, so view() is free. Every Curve operation (here, ops.hpp,
+// bounds.hpp, service.hpp) runs the matching kernel over its inputs'
+// views: results are built on a private per-thread scratch arena and
+// copied into a new Curve, or, for the one- and two-segment named
+// constructors, written into the new Curve and normalized in place.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pap::nc {
@@ -25,6 +35,31 @@ struct Segment {
   double slope = 0.0;  ///< units per ns
 };
 
+/// Non-owning SoA curve: segment i covers [x[i], x[i+1]) with value
+/// y[i] + slope[i] * (t - x[i]); the last segment extends to infinity.
+/// Every view handed out by Curve::view() or by a builder or kernel in
+/// batch.hpp satisfies the Curve invariants (x[0] == 0, continuous,
+/// non-decreasing, non-negative), except the raw output of
+/// combine_raw_view. Lookups are implemented in batch.cpp.
+struct CurveView {
+  const double* x = nullptr;
+  const double* y = nullptr;
+  const double* slope = nullptr;
+  std::uint32_t n = 0;
+
+  double value_at_zero() const { return y[0]; }
+  double final_slope() const { return slope[n - 1]; }
+
+  /// f(t) for t >= 0: binary search for the active segment.
+  double eval(double t) const;
+
+  /// First t with f(t) >= v, or nullopt if v is never reached.
+  std::optional<double> inverse(double v) const;
+
+  bool is_concave() const;  ///< slopes non-increasing
+  bool is_convex() const;   ///< slopes non-decreasing and f(0) == 0
+};
+
 class Curve {
  public:
   /// The zero function.
@@ -33,7 +68,7 @@ class Curve {
   /// Build from explicit segments. Enforces the class invariants
   /// (x strictly increasing starting at 0, continuity, non-decreasing,
   /// non-negative); collinear pieces are merged.
-  explicit Curve(std::vector<Segment> segments);
+  explicit Curve(const std::vector<Segment>& segments);
 
   /// Affine curve f(t) = value0 + slope * t  (token bucket when value0 > 0).
   static Curve affine(double value0, double slope);
@@ -53,52 +88,29 @@ class Curve {
   static Curve from_points(const std::vector<std::pair<double, double>>& points,
                            double final_slope);
 
-  double eval(double x) const;
+  double eval(double x) const { return view().eval(x); }
 
   /// First x with f(x) >= y, or nullopt if y is never reached.
-  std::optional<double> inverse(double y) const;
+  std::optional<double> inverse(double y) const { return view().inverse(y); }
 
-  /// Stateful evaluation cursor: remembers the segment the previous query
-  /// landed in, so a *non-decreasing* sequence of eval() / inverse() calls
-  /// costs amortized O(1) per query instead of O(log n) each — the access
-  /// pattern of every merge-walk in ops.cpp and of admission-control loops
-  /// that probe a service curve at increasing depths. Queries that jump
-  /// backwards are still correct; they fall back to a fresh search. The
-  /// cursor observes the curve: it must not outlive it, and any mutation of
-  /// the curve invalidates the cursor.
-  class Cursor {
-   public:
-    explicit Cursor(const Curve& curve) : c_(&curve) {}
+  /// The curve's storage as a view. Valid while this Curve is alive and
+  /// unmodified.
+  CurveView view() const {
+    const std::uint32_t n = size();
+    return CurveView{soa_.data(), soa_.data() + n, soa_.data() + 2 * n, n};
+  }
 
-    /// Same result as Curve::eval(x), amortized O(1) for monotone x.
-    double eval(double x);
+  /// The segments, copied out of the SoA storage.
+  std::vector<Segment> segments() const;
 
-    /// Same result as Curve::inverse(y), amortized O(1) for monotone y.
-    std::optional<double> inverse(double y);
-
-    /// Right slope at x (the slope of the segment eval(x) would use).
-    double slope_at(double x);
-
-   private:
-    const Curve* c_;
-    std::size_t ei_ = 0;  ///< last segment index used by eval/slope_at
-    std::size_t ii_ = 0;  ///< last segment index used by inverse
-  };
-
-  const std::vector<Segment>& segments() const { return segments_; }
-  double value_at_zero() const { return segments_.front().y; }
-  double final_slope() const { return segments_.back().slope; }
+  double value_at_zero() const { return soa_[size()]; }
+  double final_slope() const { return soa_.back(); }
 
   /// Largest abscissa at which the description changes (0 for affine).
-  double last_breakpoint() const { return segments_.back().x; }
+  double last_breakpoint() const { return soa_[size() - 1]; }
 
-  bool is_concave() const;  ///< slopes non-increasing
-  bool is_convex() const;   ///< slopes non-decreasing and f(0) == 0
-
-  /// Pointwise combinations.
-  friend Curve min(const Curve& a, const Curve& b);
-  friend Curve max(const Curve& a, const Curve& b);
-  friend Curve add(const Curve& a, const Curve& b);
+  bool is_concave() const { return view().is_concave(); }
+  bool is_convex() const { return view().is_convex(); }
 
   /// f scaled on the y axis (k >= 0).
   Curve scaled(double k) const;
@@ -112,42 +124,39 @@ class Curve {
   /// Exact equality of the canonical representation.
   friend bool operator==(const Curve& a, const Curve& b);
 
+  /// Copy a view that already satisfies the invariants (see CurveView).
+  friend Curve to_curve(CurveView v);
+
  private:
-  void normalize();
-  // Invariant: non-empty; segments_[0].x == 0; x strictly increasing;
-  // continuous; non-decreasing; non-negative.
-  std::vector<Segment> segments_;
+  /// Storage for `n` segments, to be filled by the caller.
+  struct Uninit {};
+  Curve(Uninit, std::uint32_t n) : soa_(3 * static_cast<std::size_t>(n)) {}
+
+  std::uint32_t size() const {
+    return static_cast<std::uint32_t>(soa_.size() / 3);
+  }
+
+  // Invariant: n >= 1 segments stored as [x_0..x_n-1 | y_0..y_n-1 |
+  // slope_0..slope_n-1]; x_0 == 0; x strictly increasing; continuous;
+  // non-decreasing; non-negative; no two neighbours collinear.
+  std::vector<double> soa_;
 };
 
-// Namespace-scope declarations of the pointwise combinations (the in-class
-// friend declarations alone are only found via ADL).
+/// Pointwise combinations: merge the breakpoint sets and combine linearly on
+/// each elementary interval, adding the exact crossing points where the
+/// inputs intersect.
 Curve min(const Curve& a, const Curve& b);
 Curve max(const Curve& a, const Curve& b);
 Curve add(const Curve& a, const Curve& b);
 
-/// Merge the breakpoint sets of two curves and apply `combine(fa, fb)`
-/// linearly on each elementary interval, adding crossing points where the
-/// two inputs intersect. `combine` must be min, max or a linear combination
-/// so the result stays piecewise linear. Exposed for ops.cpp and tests.
-///
-/// Implementation: a single-pass two-pointer segment merge, O(n + m) in the
-/// segment counts. Crossing points are derived exactly from the active
-/// segment pair (value difference over slope difference), never from
-/// finite-difference probes, so segments shorter than one nanosecond are
-/// handled exactly. The naive breakpoint-sort version is retained as
-/// nc::reference::combine_pointwise and property-tested against this one.
-Curve combine_pointwise(const Curve& a, const Curve& b,
-                        double (*combine)(double, double));
+/// Copy a view into an owning Curve without re-normalizing it. `v` must
+/// satisfy the Curve invariants — every builder and kernel output does,
+/// except combine_raw_view.
+Curve to_curve(CurveView v);
 
-/// Same combination but returning raw segments without enforcing the Curve
-/// invariants — needed for differences (which may be negative / decreasing)
-/// that are subsequently clamped into a residual service curve (ops.hpp).
-std::vector<Segment> combine_raw(const Curve& a, const Curve& b,
-                                 double (*combine)(double, double));
-
-/// Running max with 0 of a raw piecewise-linear function: produces the
-/// non-negative, non-decreasing closure [f]^+ used by residual service
-/// computations.
+/// Running max with 0 of a raw piecewise-linear function (which may dip
+/// negative or decrease): produces the non-negative, non-decreasing closure
+/// [f]^+ used by residual service computations.
 Curve positive_nondecreasing_closure(const std::vector<Segment>& raw);
 
 }  // namespace pap::nc

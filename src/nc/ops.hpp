@@ -5,6 +5,9 @@
 // end-to-end service guarantee by composing per-node service curves"
 // (Sec. IV). The E2E admission control of Sec. V uses exactly this to chain
 // the NoC and DRAM guarantees.
+//
+// Each operation runs its CurveView kernel from batch.hpp (defined in
+// curve.cpp, like every Curve-level operation).
 #pragma once
 
 #include <optional>

@@ -40,7 +40,7 @@ Curve service_from_points(const std::vector<std::pair<Time, double>>& points,
 /// Conservative convex minorant of an arbitrary service curve: the greatest
 /// convex curve below it. Convexity is required by the convolution used for
 /// end-to-end composition; taking the minorant keeps the result a valid
-/// (lower) service curve.
+/// (lower) service curve. Runs convex_minorant_view (defined in curve.cpp).
 Curve convex_minorant(const Curve& curve);
 
 }  // namespace pap::nc

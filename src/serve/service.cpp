@@ -212,6 +212,7 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
   // sharing the reactor. Coalescing still means one waiter pays the read.
   ErrorCode inline_error = ErrorCode::kInternal;
   bool send_inline_error = false;
+  std::optional<std::string> late_hit;
   {
     std::unique_lock<std::mutex> lk(st.mu);
     if (st.stopping) {
@@ -244,6 +245,12 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
       lk.unlock();
       st.counters.add("serve", req.op + "/coalesced");
       return;
+    } else if (config_.cache_entries != 0 &&
+               (late_hit = st.shard_of(key).get(key))) {
+      // The job for this key finished between the fast-path probe and this
+      // lock: it fills the cache before it leaves the in-flight index, so
+      // the answer is here now. Without this probe the line would be
+      // computed a second time.
     } else if (st.queue.size() >= config_.queue_capacity) {
       send_inline_error = true;
       inline_error = ErrorCode::kOverloaded;
@@ -260,6 +267,13 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
       st.work_cv.notify_one();
       return;
     }
+  }
+  if (late_hit) {
+    st.counters.add("serve", req.op + "/cache_hits");
+    st.counters.add("serve", req.op + "/ok");
+    st.latency.at(req.op).record(us_since(t0));
+    reply(ok_reply(req.id, *late_hit));
+    return;
   }
   if (send_inline_error) {
     if (inline_error == ErrorCode::kOverloaded) {

@@ -2,7 +2,11 @@
 // service integration, and validation against the NoC simulator.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/e2e_analysis.hpp"
+#include "oracle/e2e_reference.hpp"
 #include "sim/kernel.hpp"
 
 namespace pap::core {
@@ -27,6 +31,14 @@ AppRequirement app(noc::AppId id, double burst, double rate_req_per_ns,
   a.deadline = deadline;
   a.uses_dram = dram;
   return a;
+}
+
+/// The bound of flows[0] within the set `flows`.
+std::optional<Time> first_bound(const E2eAnalysis& e,
+                                const std::vector<AppRequirement>& flows) {
+  std::vector<std::optional<Time>> bounds;
+  e.e2e_bounds_into(flows, &bounds);
+  return bounds.front();
 }
 
 TEST(E2e, LinkRateFromFlitTime) {
@@ -58,8 +70,8 @@ TEST(E2e, CoLocatedFlowsContendOnTheInjectionLink) {
                      Time::us(10));
   const auto b = app(2, 4, 0.02, mesh.node(0, 0), mesh.node(0, 3),
                      Time::us(10));
-  const auto alone = e.e2e_bound(a, {a});
-  const auto shared = e.e2e_bound(a, {a, b});
+  const auto alone = first_bound(e, {a});
+  const auto shared = first_bound(e, {a, b});
   ASSERT_TRUE(alone && shared);
   EXPECT_GT(*shared, *alone);
 }
@@ -75,8 +87,8 @@ TEST(E2e, InterfererBurstRaisesTheBound) {
                          Time::us(10));
   auto big = small;
   big.traffic.burst = 8;
-  const auto with_small = e.e2e_bound(a, {a, small});
-  const auto with_big = e.e2e_bound(a, {a, big});
+  const auto with_small = first_bound(e, {a, small});
+  const auto with_big = first_bound(e, {a, big});
   ASSERT_TRUE(with_small && with_big);
   EXPECT_GT(*with_big, *with_small);
 }
@@ -86,7 +98,7 @@ TEST(E2e, UncontestedPathBoundIsHopChain) {
   noc::Mesh2D mesh(4, 4);
   const auto a = app(1, 1, 0.001, mesh.node(0, 0), mesh.node(3, 0),
                      Time::us(10));
-  const auto bound = e.e2e_bound(a, {a});
+  const auto bound = first_bound(e, {a});
   ASSERT_TRUE(bound.has_value());
   // 4 hops x 5 ns latency plus the burst served at the link rate.
   EXPECT_GE(*bound, Time::ns(20));
@@ -100,8 +112,8 @@ TEST(E2e, CrossTrafficRaisesBound) {
                      Time::us(10));
   const auto cross = app(2, 2, 0.02, mesh.node(0, 1), mesh.node(3, 0),
                          Time::us(10));
-  const auto alone = e.e2e_bound(a, {a});
-  const auto contested = e.e2e_bound(a, {a, cross});
+  const auto alone = first_bound(e, {a});
+  const auto contested = first_bound(e, {a, cross});
   ASSERT_TRUE(alone && contested);
   EXPECT_GT(*contested, *alone);
 }
@@ -113,8 +125,8 @@ TEST(E2e, DisjointCrossTrafficIgnored) {
                      Time::us(10));
   const auto far = app(2, 8, 0.05, mesh.node(0, 3), mesh.node(3, 3),
                        Time::us(10));
-  const auto alone = e.e2e_bound(a, {a});
-  const auto with_far = e.e2e_bound(a, {a, far});
+  const auto alone = first_bound(e, {a});
+  const auto with_far = first_bound(e, {a, far});
   ASSERT_TRUE(alone && with_far);
   EXPECT_EQ(*alone, *with_far);
 }
@@ -127,7 +139,7 @@ TEST(E2e, SaturatedLinkHasNoBound) {
                      Time::us(10));
   const auto hog = app(2, 1, 0.125, mesh.node(0, 1), mesh.node(3, 0),
                        Time::us(10));
-  EXPECT_FALSE(e.e2e_bound(a, {a, hog}).has_value());
+  EXPECT_FALSE(first_bound(e, {a, hog}).has_value());
 }
 
 TEST(E2e, DramChainExtendsBound) {
@@ -135,8 +147,8 @@ TEST(E2e, DramChainExtendsBound) {
   auto a = app(1, 2, 0.001, 0, 5, Time::us(100), /*dram=*/true);
   auto no_dram = a;
   no_dram.uses_dram = false;
-  const auto with = e.e2e_bound(a, {a});
-  const auto without = e.e2e_bound(no_dram, {no_dram});
+  const auto with = first_bound(e, {a});
+  const auto without = first_bound(e, {no_dram});
   ASSERT_TRUE(with && without);
   EXPECT_GT(*with, *without);
 }
@@ -145,8 +157,8 @@ TEST(E2e, DramCrossTrafficCountsAsWrites) {
   E2eAnalysis e(model());
   auto a = app(1, 2, 0.001, 0, 5, Time::ms(1), true);
   auto other = app(2, 4, 0.004, 1, 5, Time::ms(1), true);
-  const auto alone = e.e2e_bound(a, {a});
-  const auto shared = e.e2e_bound(a, {a, other});
+  const auto alone = first_bound(e, {a});
+  const auto shared = first_bound(e, {a, other});
   ASSERT_TRUE(alone && shared);
   EXPECT_GT(*shared, *alone);
 }
@@ -161,7 +173,7 @@ TEST(E2e, AnalysisBoundsCoverSimulation) {
                      Time::us(10));
   const auto b = app(2, 2, 1.0 / 400.0, mesh.node(0, 1), mesh.node(3, 0),
                      Time::us(10));
-  const auto bound_a = e.e2e_bound(a, {a, b});
+  const auto bound_a = first_bound(e, {a, b});
   ASSERT_TRUE(bound_a.has_value());
 
   sim::Kernel kernel;
@@ -190,11 +202,11 @@ TEST(E2e, AnalysisBoundsCoverSimulation) {
   EXPECT_LE(lat.max(), *bound_a);
 }
 
-// The arena path (e2e_bounds_into) must reproduce the scalar per-flow
-// analysis exactly — Time is integer picoseconds, so any arithmetic
-// divergence in the mirrored view kernels shows up as a hard inequality
-// here. Covers NoC-only and DRAM flows, and a saturated set where bounds
-// go unbounded.
+// The arena path (e2e_bounds_into) must reproduce the per-flow oracle
+// pipeline (tests/oracle/e2e_reference: vector paths, owning Curves, one
+// fixpoint per flow) exactly — Time is integer picoseconds, so any
+// arithmetic divergence shows up as a hard inequality here. Covers
+// NoC-only and DRAM flows, and a saturated set where bounds go unbounded.
 TEST(E2e, BatchBoundsMatchPerFlowScalarExactly) {
   E2eAnalysis e(model());
   noc::Mesh2D mesh(4, 4);
@@ -218,7 +230,7 @@ TEST(E2e, BatchBoundsMatchPerFlowScalarExactly) {
     e.e2e_bounds_into(flows, &batch);
     ASSERT_EQ(batch.size(), flows.size());
     for (std::size_t i = 0; i < flows.size(); ++i) {
-      const auto scalar = e.e2e_bound(flows[i], flows);
+      const auto scalar = reference::e2e_bound(e, flows[i], flows);
       ASSERT_EQ(batch[i].has_value(), scalar.has_value())
           << "set " << s << " flow " << i;
       if (scalar) {

@@ -276,29 +276,5 @@ TEST(ControllerConfigBuild, AcceptsAndSnapshotsValidKnobs) {
   EXPECT_EQ(p.age_cap, Time::us(1));
 }
 
-// --- Deprecated shims ----------------------------------------------------
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedShims, OldNameAndCtorStillRun) {
-  sim::Kernel k;
-  ControllerParams p;
-  p.banks = 2;
-  FrFcfsController c(k, ddr3_1600(), p);  // alias + params ctor
-  std::size_t done = 0;
-  c.set_completion_handler([&](const Request&, Time) { ++done; });
-  Request r;
-  r.id = 1;
-  r.op = Op::kRead;
-  r.bank = 1;
-  r.row = 3;
-  c.submit(r);
-  k.run(Time::us(2));
-  EXPECT_EQ(done, 1u);
-  EXPECT_EQ(c.params().banks, 2);
-  EXPECT_EQ(c.policy().kind(), PolicyKind::kFrFcfs);
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace pap::dram

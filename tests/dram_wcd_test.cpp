@@ -7,6 +7,7 @@
 #include "dram/traffic.hpp"
 #include "dram/wcd.hpp"
 #include "nc/bounds.hpp"
+#include "oracle/wcd_reference.hpp"
 #include "sim/kernel.hpp"
 
 namespace pap::dram {
@@ -251,9 +252,11 @@ INSTANTIATE_TEST_SUITE_P(Rates, SimVsBound,
 
 TEST(WcdServiceCurve, IncrementalMatchesReferenceBitExactly) {
   // service_curve warm-starts each depth's fixpoint from the previous one;
-  // Time is integer picoseconds, so the warm iteration must land on the
-  // *identical* least fixpoint, making the curves comparable with EXPECT_EQ
-  // (canonical-representation equality), not just within tolerance.
+  // the oracle (tests/oracle/wcd_reference) runs one cold fixpoint per
+  // depth. Time is integer picoseconds, so the warm iteration must land on
+  // the *identical* least fixpoint, making the curves comparable with
+  // EXPECT_EQ (canonical-representation equality), not just within
+  // tolerance.
   const auto timings = ddr3_1600();
   const auto ctrl = paper_controller();
   for (double gbps : {1.0, 4.0, 6.0, 7.0}) {
@@ -261,7 +264,7 @@ TEST(WcdServiceCurve, IncrementalMatchesReferenceBitExactly) {
     WcdAnalysis analysis(timings, ctrl, writes);
     for (int depth : {1, 2, 8, 32, 128}) {
       EXPECT_EQ(analysis.service_curve(depth),
-                analysis.service_curve_reference(depth))
+                reference::service_curve(analysis, depth))
           << "depth " << depth << " at " << gbps << " Gbps";
     }
   }
@@ -278,7 +281,7 @@ TEST(WcdServiceCurve, IncrementalMatchesReferenceNearSaturation) {
   for (double gbps : {7.4, 7.6, 7.8}) {
     const auto writes = nc::TokenBucket::from_rate(Rate::gbps(gbps), 64, 8);
     WcdAnalysis analysis(timings, ctrl, writes);
-    EXPECT_EQ(analysis.service_curve(32), analysis.service_curve_reference(32))
+    EXPECT_EQ(analysis.service_curve(32), reference::service_curve(analysis, 32))
         << gbps << " Gbps";
   }
 }

@@ -59,9 +59,7 @@ TEST_P(E2eFuzz, SimulationWithinProvenBounds) {
   // Bounds (some may be unprovable if a link saturates; skip those flows
   // in the check but still simulate them — their traffic interferes).
   std::vector<std::optional<Time>> bounds;
-  for (const auto& f : flows) {
-    bounds.push_back(analysis.e2e_bound(f.req, all));
-  }
+  analysis.e2e_bounds_into(all, &bounds);
 
   sim::Kernel kernel;
   noc::Network net(kernel, model.noc);

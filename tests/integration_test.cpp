@@ -7,6 +7,7 @@
 #include "core/configurator.hpp"
 #include "dram/traffic.hpp"
 #include "dram/wcd.hpp"
+#include "nc/bounds.hpp"
 #include "rm/manager.hpp"
 #include "sim/kernel.hpp"
 

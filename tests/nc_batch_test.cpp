@@ -1,18 +1,15 @@
-// Arena/batch NC engine tests (nc/arena.hpp, nc/batch.hpp).
+// NC kernel and arena tests (nc/arena.hpp, nc/batch.hpp).
 //
-// Two layers of defence:
-//  * seeded property tests (>10k cases across the suite) pin the batched
-//    entry points (combine_all / deconvolve_all / deviations_all) against
-//    the scalar kernels — the batch kernels are written as *exact
-//    arithmetic mirrors*, so batch-vs-scalar is asserted to the ISSUE's
-//    1e-9 at every merged breakpoint and in practice matches bitwise — and
-//    against the retained nc::reference oracles at the looser tolerance the
-//    scalar suite already uses (the references keep the old
-//    finite-difference probes);
-//  * arena-contract tests: epoch bump on reset, storage reuse without fresh
-//    blocks, no aliasing between batch outputs and inputs, and per-thread
-//    isolation of thread_arena() under concurrent workers (the sweep
-//    runner's --jobs shape).
+//  * The raw (pre-closure) kSub merge — the residual-service building block
+//    no Curve operation exposes — against the naive scalar original in the
+//    oracle library, and against the pointwise difference itself. Every
+//    other kernel is pinned against the oracle through the Curve API in
+//    tests/nc_property_test.cpp, and bit for bit across commits in
+//    tests/nc_golden_test.cpp.
+//  * Arena-contract tests: epoch bump on reset, storage reuse without fresh
+//    blocks, no aliasing between kernel outputs and inputs sharing one
+//    arena, and per-thread isolation of thread_arena() under concurrent
+//    workers (the sweep runner's --jobs shape).
 //
 // The file also hosts the zero-steady-state-allocation assertion for
 // core::E2eAnalysis::e2e_bounds_into, via a TU-local replacement of the
@@ -37,9 +34,10 @@
 #include "nc/arena.hpp"
 #include "nc/batch.hpp"
 #include "nc/curve.hpp"
-#include "nc/ops.hpp"
-#include "nc/reference.hpp"
 #include "noc/topology.hpp"
+#include "oracle/e2e_reference.hpp"
+#include "oracle/nc_reference.hpp"
+#include "random_curves.hpp"
 
 // ---------------------------------------------------------------------------
 // Heap allocation counter (zero-steady-state-allocation assertion)
@@ -96,137 +94,58 @@ using pap::Rng;
 using pap::nc::Arena;
 using pap::nc::CombineOp;
 using pap::nc::Curve;
-using pap::nc::CurveBatch;
 using pap::nc::CurveView;
 using pap::nc::Segment;
-
-// ---------------------------------------------------------------------------
-// Random curve generation (same distributions as tests/nc_property_test.cpp,
-// including the sub-nanosecond-segment regime)
-// ---------------------------------------------------------------------------
-
-double random_length(Rng& rng, bool sub_ns) {
-  if (sub_ns) return 0.001 + 0.9 * rng.next_double();
-  return 0.5 + 19.5 * rng.next_double();
-}
-
-Curve random_concave(Rng& rng, bool sub_ns) {
-  const int pieces = static_cast<int>(rng.uniform(1, 10));
-  std::vector<double> slopes;
-  slopes.reserve(static_cast<std::size_t>(pieces));
-  double s = 2.0 + 10.0 * rng.next_double();
-  for (int i = 0; i < pieces; ++i) {
-    slopes.push_back(s);
-    s *= 0.3 + 0.6 * rng.next_double();
-  }
-  std::vector<Segment> segs;
-  segs.reserve(slopes.size());
-  double x = 0.0;
-  double y = rng.chance(0.8) ? 16.0 * rng.next_double() : 0.0;
-  for (double slope : slopes) {
-    segs.push_back(Segment{x, y, slope});
-    const double len = random_length(rng, sub_ns);
-    x += len;
-    y += slope * len;
-  }
-  return Curve{std::move(segs)};
-}
-
-Curve random_convex(Rng& rng, bool sub_ns) {
-  const int pieces = static_cast<int>(rng.uniform(1, 10));
-  std::vector<double> slopes;
-  slopes.reserve(static_cast<std::size_t>(pieces));
-  double s = rng.chance(0.5) ? 0.0 : 0.5 * rng.next_double();
-  for (int i = 0; i < pieces; ++i) {
-    slopes.push_back(s);
-    s += 0.2 + 3.0 * rng.next_double();
-  }
-  std::vector<Segment> segs;
-  segs.reserve(slopes.size());
-  double x = 0.0;
-  double y = 0.0;
-  for (double slope : slopes) {
-    segs.push_back(Segment{x, y, slope});
-    const double len = random_length(rng, sub_ns);
-    x += len;
-    y += slope * len;
-  }
-  return Curve{std::move(segs)};
-}
+using pap::nc_test::random_concave;
+using pap::nc_test::random_convex;
 
 // ---------------------------------------------------------------------------
 // Comparison helpers
 // ---------------------------------------------------------------------------
 
-std::vector<double> probe_points(const Curve& a, const Curve& b) {
-  std::vector<double> xs;
-  for (const auto& s : a.segments()) xs.push_back(s.x);
-  for (const auto& s : b.segments()) xs.push_back(s.x);
-  std::sort(xs.begin(), xs.end());
-  std::vector<double> out;
-  out.reserve(xs.size() * 2 + 2);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    out.push_back(xs[i]);
-    if (i + 1 < xs.size() && xs[i + 1] > xs[i]) {
-      out.push_back(0.5 * (xs[i] + xs[i + 1]));
-    }
-  }
-  const double last = xs.empty() ? 0.0 : xs.back();
-  out.push_back(last + 1.0);
-  out.push_back(last + 50.0);
-  return out;
-}
-
-/// Batch vs scalar: the view kernels mirror the scalar arithmetic exactly,
-/// so segment counts must match and every breakpoint coordinate must agree
-/// to 1e-9 (in practice: bitwise).
-::testing::AssertionResult view_matches_scalar(CurveView got,
-                                               const Curve& want,
-                                               int case_idx) {
-  if (got.n != want.segments().size()) {
+/// A kernel output against the Curve operation that runs the same kernel
+/// elsewhere (its own scratch arena, another thread's arena): bit-identical.
+::testing::AssertionResult view_matches_curve(CurveView got,
+                                              const Curve& want,
+                                              int case_idx) {
+  const CurveView w = want.view();
+  if (got.n != w.n) {
     return ::testing::AssertionFailure()
            << "case " << case_idx << ": segment count " << got.n << " vs "
-           << want.segments().size() << "\n  want: " << want.to_string();
+           << w.n << "\n  want: " << want.to_string();
   }
   for (std::uint32_t i = 0; i < got.n; ++i) {
-    const Segment& w = want.segments()[i];
-    const double scale =
-        std::max(1.0, std::max(std::fabs(w.x), std::fabs(w.y)));
-    if (std::fabs(got.x[i] - w.x) > 1e-9 * scale ||
-        std::fabs(got.y[i] - w.y) > 1e-9 * scale ||
-        std::fabs(got.slope[i] - w.slope) > 1e-9 * scale) {
+    if (got.x[i] != w.x[i] || got.y[i] != w.y[i] ||
+        got.slope[i] != w.slope[i]) {
       return ::testing::AssertionFailure()
              << "case " << case_idx << ": segment " << i << " is ("
              << got.x[i] << ", " << got.y[i] << ", " << got.slope[i]
-             << "), want (" << w.x << ", " << w.y << ", " << w.slope << ")";
+             << "), want (" << w.x[i] << ", " << w.y[i] << ", " << w.slope[i]
+             << ")";
     }
   }
   return ::testing::AssertionSuccess();
 }
 
-/// Batch vs the retained naive oracle, at the tolerance the scalar property
-/// suite uses (the reference keeps the old finite-difference slope probes).
-::testing::AssertionResult view_matches_reference(CurveView got,
-                                                  const Curve& want,
-                                                  int case_idx) {
-  const Curve got_curve = pap::nc::to_curve(got);
-  for (double x : probe_points(got_curve, want)) {
-    const double g = got_curve.eval(x);
-    const double w = want.eval(x);
-    const double tol =
-        1e-6 * std::max(1.0, std::max(std::fabs(g), std::fabs(w)));
-    if (std::fabs(g - w) > tol) {
-      return ::testing::AssertionFailure()
-             << "case " << case_idx << ": disagrees with reference at x = "
-             << x << ": got " << g << ", want " << w;
-    }
-  }
-  return ::testing::AssertionSuccess();
+/// Value of a raw (possibly negative/decreasing) segment list at x.
+double raw_eval(const std::vector<Segment>& segs, double x) {
+  const auto it = std::upper_bound(
+      segs.begin(), segs.end(), x,
+      [](double v, const Segment& s) { return v < s.x; });
+  const Segment& s = *(it - 1);
+  return s.y + s.slope * (x - s.x);
 }
 
-double min_of(double u, double v) { return u < v ? u : v; }
-double max_of(double u, double v) { return u > v ? u : v; }
-double sum_of(double u, double v) { return u + v; }
+/// Storage the test controls: a Curve's segments copied into `arena`.
+CurveView copy_into(Arena& arena, const Curve& c) {
+  const CurveView v = c.view();
+  pap::nc::MutCurveView m = pap::nc::alloc_curve_view(arena, v.n);
+  std::copy(v.x, v.x + v.n, m.x);
+  std::copy(v.y, v.y + v.n, m.y);
+  std::copy(v.slope, v.slope + v.n, m.slope);
+  m.n = v.n;
+  return m;
+}
 
 Curve random_curve(Rng& rng, bool sub_ns) {
   return rng.chance(0.5) ? random_concave(rng, sub_ns)
@@ -234,166 +153,8 @@ Curve random_curve(Rng& rng, bool sub_ns) {
 }
 
 // ---------------------------------------------------------------------------
-// combine_all: 1500 random pairs x 3 ops, processed in batch chunks
-// (4500 combine cases)
-// ---------------------------------------------------------------------------
-
-TEST(NcBatch, CombineAllMatchesScalarAndReference) {
-  Rng rng(0xBA7C4001u);
-  const int kChunks = 15;
-  const int kChunk = 100;
-  Arena inputs;
-  Arena arena;
-  CurveBatch a(&inputs);
-  CurveBatch b(&inputs);
-  CurveBatch out;
-  int case_idx = 0;
-  for (int chunk = 0; chunk < kChunks; ++chunk) {
-    std::vector<Curve> sa;
-    std::vector<Curve> sb;
-    inputs.reset();
-    a.clear();
-    b.clear();
-    for (int i = 0; i < kChunk; ++i) {
-      const bool sub_ns = (case_idx + i) % 3 == 0;
-      sa.push_back(random_curve(rng, sub_ns));
-      sb.push_back(random_curve(rng, sub_ns));
-      a.push_back(sa.back());
-      b.push_back(sb.back());
-    }
-    const struct {
-      CombineOp op;
-      double (*fn)(double, double);
-    } kOps[] = {{CombineOp::kMin, min_of},
-                {CombineOp::kMax, max_of},
-                {CombineOp::kAdd, sum_of}};
-    for (const auto& o : kOps) {
-      arena.reset();
-      pap::nc::combine_all(arena, a, b, o.op, &out);
-      ASSERT_EQ(out.size(), static_cast<std::size_t>(kChunk));
-      for (int i = 0; i < kChunk; ++i) {
-        const Curve scalar = pap::nc::combine_pointwise(sa[i], sb[i], o.fn);
-        ASSERT_TRUE(view_matches_scalar(out[i], scalar, case_idx + i));
-        const Curve ref =
-            pap::nc::reference::combine_pointwise(sa[i], sb[i], o.fn);
-        ASSERT_TRUE(view_matches_reference(out[i], ref, case_idx + i));
-      }
-    }
-    case_idx += kChunk;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// deconvolve_all: 3000 concave/convex pairs in batch chunks
-// ---------------------------------------------------------------------------
-
-TEST(NcBatch, DeconvolveAllMatchesScalarAndReference) {
-  Rng rng(0xBA7C4002u);
-  const int kChunks = 30;
-  const int kChunk = 100;
-  Arena inputs;
-  Arena arena;
-  CurveBatch f(&inputs);
-  CurveBatch g(&inputs);
-  CurveBatch out;
-  int case_idx = 0;
-  int bounded = 0;
-  for (int chunk = 0; chunk < kChunks; ++chunk) {
-    std::vector<Curve> sf;
-    std::vector<Curve> sg;
-    inputs.reset();
-    f.clear();
-    g.clear();
-    for (int i = 0; i < kChunk; ++i) {
-      const bool sub_ns = (case_idx + i) % 3 == 0;
-      sf.push_back(random_concave(rng, sub_ns));
-      sg.push_back(random_convex(rng, sub_ns));
-      f.push_back(sf.back());
-      g.push_back(sg.back());
-    }
-    arena.reset();
-    const std::size_t got_bounded = pap::nc::deconvolve_all(arena, f, g, &out);
-    ASSERT_EQ(out.size(), static_cast<std::size_t>(kChunk));
-    std::size_t want_bounded = 0;
-    for (int i = 0; i < kChunk; ++i) {
-      const auto scalar = pap::nc::deconvolve(sf[i], sg[i]);
-      ASSERT_EQ(out[i].empty(), !scalar.has_value()) << "case " << case_idx + i;
-      if (!scalar) continue;
-      ++want_bounded;
-      ++bounded;
-      ASSERT_TRUE(view_matches_scalar(out[i], *scalar, case_idx + i));
-      const auto ref = pap::nc::reference::deconvolve(sf[i], sg[i]);
-      ASSERT_TRUE(ref.has_value()) << "case " << case_idx + i;
-      ASSERT_TRUE(view_matches_reference(out[i], *ref, case_idx + i));
-    }
-    ASSERT_EQ(got_bounded, want_bounded);
-    case_idx += kChunk;
-  }
-  EXPECT_GT(bounded, (kChunks * kChunk) / 4);  // the suite must exercise both
-}
-
-// ---------------------------------------------------------------------------
-// deviations_all: 3000 (alpha, beta) pairs
-// ---------------------------------------------------------------------------
-
-TEST(NcBatch, DeviationsAllMatchesScalarAndReference) {
-  Rng rng(0xBA7C4003u);
-  const int kChunks = 30;
-  const int kChunk = 100;
-  Arena inputs;
-  CurveBatch alpha(&inputs);
-  CurveBatch beta(&inputs);
-  std::vector<pap::nc::Deviations> devs;
-  int case_idx = 0;
-  int bounded = 0;
-  for (int chunk = 0; chunk < kChunks; ++chunk) {
-    std::vector<Curve> sa;
-    std::vector<Curve> sb;
-    inputs.reset();
-    alpha.clear();
-    beta.clear();
-    for (int i = 0; i < kChunk; ++i) {
-      const bool sub_ns = (case_idx + i) % 3 == 0;
-      sa.push_back(random_concave(rng, sub_ns));
-      sb.push_back(random_convex(rng, sub_ns));
-      alpha.push_back(sa.back());
-      beta.push_back(sb.back());
-    }
-    pap::nc::deviations_all(alpha, beta, &devs);
-    ASSERT_EQ(devs.size(), static_cast<std::size_t>(kChunk));
-    for (int i = 0; i < kChunk; ++i) {
-      const auto h = pap::nc::h_deviation(sa[i], sb[i]);
-      const auto v = pap::nc::v_deviation(sa[i], sb[i]);
-      ASSERT_EQ(devs[i].h_bounded, h.has_value()) << "case " << case_idx + i;
-      ASSERT_EQ(devs[i].v_bounded, v.has_value()) << "case " << case_idx + i;
-      if (h) {
-        ++bounded;
-        const double tol = 1e-9 * std::max(1.0, std::fabs(*h));
-        ASSERT_NEAR(devs[i].h, *h, tol) << "case " << case_idx + i;
-        const auto ref = pap::nc::reference::h_deviation(sa[i], sb[i]);
-        ASSERT_TRUE(ref.has_value()) << "case " << case_idx + i;
-        ASSERT_NEAR(devs[i].h, *ref,
-                    1e-6 * std::max(1.0, std::fabs(*ref)))
-            << "case " << case_idx + i;
-      }
-      if (v) {
-        const double tol = 1e-9 * std::max(1.0, std::fabs(*v));
-        ASSERT_NEAR(devs[i].v, *v, tol) << "case " << case_idx + i;
-        const auto ref = pap::nc::reference::v_deviation(sa[i], sb[i]);
-        ASSERT_TRUE(ref.has_value()) << "case " << case_idx + i;
-        ASSERT_NEAR(devs[i].v, *ref,
-                    1e-6 * std::max(1.0, std::fabs(*ref)))
-            << "case " << case_idx + i;
-      }
-    }
-    case_idx += kChunk;
-  }
-  EXPECT_GT(bounded, (kChunks * kChunk) / 4);
-}
-
-// ---------------------------------------------------------------------------
-// combine_raw_view kSub (the residual-service building block) vs scalar
-// combine_raw — raw output, invariants intentionally not enforced
+// combine_raw_view kSub (the residual-service building block) vs the naive
+// scalar combine_raw — raw output, invariants intentionally not enforced
 // ---------------------------------------------------------------------------
 
 TEST(NcBatch, CombineRawSubMatchesScalar) {
@@ -404,19 +165,31 @@ TEST(NcBatch, CombineRawSubMatchesScalar) {
     const Curve beta = random_convex(rng, sub_ns);
     const Curve cross = random_concave(rng, sub_ns);
     arena.reset();
-    const CurveView bv = pap::nc::to_view(arena, beta);
-    const CurveView cv = pap::nc::to_view(arena, cross);
-    const CurveView raw =
-        pap::nc::combine_raw_view(arena, bv, cv, CombineOp::kSub);
-    const std::vector<Segment> want = pap::nc::combine_raw(
+    const CurveView raw = pap::nc::combine_raw_view(
+        arena, beta.view(), cross.view(), CombineOp::kSub);
+    const std::vector<Segment> want = pap::nc::reference::combine_raw(
         beta, cross, [](double u, double v) { return u - v; });
-    ASSERT_EQ(raw.n, want.size()) << "case " << i;
-    for (std::uint32_t k = 0; k < raw.n; ++k) {
-      const double scale = std::max(
-          1.0, std::max(std::fabs(want[k].x), std::fabs(want[k].y)));
-      ASSERT_NEAR(raw.x[k], want[k].x, 1e-9 * scale) << "case " << i;
-      ASSERT_NEAR(raw.y[k], want[k].y, 1e-9 * scale) << "case " << i;
-      ASSERT_NEAR(raw.slope[k], want[k].slope, 1e-9 * scale) << "case " << i;
+    // Both are linear between their merged breakpoints: probe those, the
+    // interval midpoints and both tails, against the oracle (1e-6, the
+    // tolerance its finite-difference probes allow) and against the
+    // pointwise difference itself.
+    std::vector<double> xs;
+    for (std::uint32_t k = 0; k < raw.n; ++k) xs.push_back(raw.x[k]);
+    for (const Segment& w : want) xs.push_back(w.x);
+    std::sort(xs.begin(), xs.end());
+    const std::size_t nbreak = xs.size();
+    for (std::size_t k = 0; k + 1 < nbreak; ++k) {
+      xs.push_back(0.5 * (xs[k] + xs[k + 1]));
+    }
+    xs.push_back(xs[nbreak - 1] + 1.0);
+    xs.push_back(xs[nbreak - 1] + 50.0);
+    for (double x : xs) {
+      const double got = raw.eval(x);
+      const double direct = beta.eval(x) - cross.eval(x);
+      const double tol =
+          1e-6 * std::max(1.0, std::max(std::fabs(got), std::fabs(direct)));
+      ASSERT_NEAR(got, raw_eval(want, x), tol) << "case " << i << " x " << x;
+      ASSERT_NEAR(got, direct, tol) << "case " << i << " x " << x;
     }
   }
 }
@@ -465,25 +238,26 @@ TEST(NcBatch, ArenaGrowsAcrossBlocksWithoutInvalidatingEarlierAllocations) {
 
 TEST(NcBatch, BatchOutputsAliasNeitherInputsNorEachOther) {
   // Inputs and outputs share one arena — the e2e analysis does exactly
-  // this — so overlapping storage would silently corrupt results. Compute
-  // scalar expectations first, run the whole batch, then compare: any
-  // cross-output write would surface as a late mismatch.
+  // this — so overlapping storage would silently corrupt results. Copy all
+  // inputs in, run every kernel call, then compare: any cross-output write
+  // would surface as a late mismatch.
   Rng rng(0xBA7C4005u);
   Arena arena;
-  CurveBatch a(&arena);
-  CurveBatch b(&arena);
-  CurveBatch out;
+  std::vector<CurveView> a;
+  std::vector<CurveView> b;
+  std::vector<CurveView> out;
   std::vector<Curve> sa;
   std::vector<Curve> sb;
   const int kN = 64;
   for (int i = 0; i < kN; ++i) {
     sa.push_back(random_curve(rng, i % 3 == 0));
     sb.push_back(random_curve(rng, i % 3 == 0));
-    a.push_back(sa.back());
-    b.push_back(sb.back());
+    a.push_back(copy_into(arena, sa.back()));
+    b.push_back(copy_into(arena, sb.back()));
   }
-  pap::nc::combine_all(arena, a, b, CombineOp::kMin, &out);
-  ASSERT_EQ(out.size(), static_cast<std::size_t>(kN));
+  for (int i = 0; i < kN; ++i) {
+    out.push_back(pap::nc::combine_view(arena, a[i], b[i], CombineOp::kMin));
+  }
 
   // Used storage ranges [x, x + n) of all views must be pairwise disjoint.
   std::vector<std::pair<const double*, const double*>> spans;
@@ -504,17 +278,16 @@ TEST(NcBatch, BatchOutputsAliasNeitherInputsNorEachOther) {
         << "overlapping arena spans";
   }
 
-  // Late value check: every output still matches its scalar expectation
+  // Late value check: every output still matches the Curve operation
   // after all other pairs were processed.
   for (int i = 0; i < kN; ++i) {
-    const Curve scalar = pap::nc::min(sa[i], sb[i]);
-    ASSERT_TRUE(view_matches_scalar(out[i], scalar, i));
+    ASSERT_TRUE(view_matches_curve(out[i], pap::nc::min(sa[i], sb[i]), i));
   }
 }
 
 TEST(NcBatch, ThreadLocalArenasAreIsolated) {
   // The sweep runner hands each worker thread its own thread_arena(); the
-  // batches a worker builds must be unaffected by other workers hammering
+  // curves a worker builds must be unaffected by other workers hammering
   // theirs concurrently.
   const int kThreads = 4;
   const int kCasesPerThread = 200;
@@ -530,12 +303,12 @@ TEST(NcBatch, ThreadLocalArenasAreIsolated) {
         arena.reset();
         const Curve a = random_curve(rng, i % 3 == 0);
         const Curve b = random_curve(rng, i % 3 == 0);
-        const CurveView av = pap::nc::to_view(arena, a);
-        const CurveView bv = pap::nc::to_view(arena, b);
+        const CurveView av = copy_into(arena, a);
+        const CurveView bv = copy_into(arena, b);
         const CurveView got =
             pap::nc::combine_view(arena, av, bv, CombineOp::kAdd);
         const Curve want = pap::nc::add(a, b);
-        if (!view_matches_scalar(got, want, i)) ++mismatches[t];
+        if (!view_matches_curve(got, want, i)) ++mismatches[t];
       }
       pap::nc::thread_arena().release();
     });
@@ -598,12 +371,13 @@ TEST(NcBatch, E2eBoundsSteadyStateMakesNoHeapAllocations) {
       << "a warmed e2e_bounds_into decision heap-allocated "
       << (after - before) / 5.0 << " times per call";
 
-  // The bounds must still be the real analysis results.
-  const auto scalar = e.e2e_bounds(flows);
-  ASSERT_EQ(bounds.size(), scalar.size());
+  // The bounds must still be the real analysis results: the per-flow
+  // oracle pipeline's, to the picosecond.
+  ASSERT_EQ(bounds.size(), flows.size());
   for (std::size_t i = 0; i < bounds.size(); ++i) {
-    ASSERT_EQ(bounds[i].has_value(), scalar[i].has_value());
-    if (bounds[i]) EXPECT_EQ(*bounds[i], *scalar[i]);
+    const auto want = pap::core::reference::e2e_bound(e, flows[i], flows);
+    ASSERT_EQ(bounds[i].has_value(), want.has_value());
+    if (bounds[i]) EXPECT_EQ(*bounds[i], *want);
   }
 #endif
 }

@@ -230,43 +230,5 @@ TEST(Curve, SubNanosecondCrossingIsExact) {
   }
 }
 
-TEST(Curve, CursorMatchesFreshLookups) {
-  const Curve c{std::vector<Segment>{
-      {0.0, 2.0, 4.0}, {0.5, 4.0, 2.0}, {3.0, 9.0, 2.0 - 1e-12},
-      {7.0, 17.0, 0.5}}};
-  Curve::Cursor cur(c);
-  // Monotone sweep: the fast path.
-  for (double x = 0.0; x < 12.0; x += 0.0625) {
-    ASSERT_DOUBLE_EQ(cur.eval(x), c.eval(x)) << x;
-  }
-  // Backward jumps fall back to a fresh search.
-  for (double x : {11.0, 0.25, 6.5, 0.0, 3.0}) {
-    ASSERT_DOUBLE_EQ(cur.eval(x), c.eval(x)) << x;
-  }
-  Curve::Cursor inv(c);
-  for (double y = 0.0; y < 20.0; y += 0.125) {
-    const auto got = inv.inverse(y);
-    const auto want = c.inverse(y);
-    ASSERT_EQ(got.has_value(), want.has_value()) << y;
-    if (got) ASSERT_DOUBLE_EQ(*got, *want) << y;
-  }
-  // Backward inverse jumps, including onto plateau edges.
-  const Curve flat{std::vector<Segment>{
-      {0.0, 0.0, 2.0}, {1.0, 2.0, 0.0}, {4.0, 2.0, 1.0}}};
-  Curve::Cursor finv(flat);
-  for (double y : {3.0, 2.0, 0.5, 2.0, 1.9999999999, 0.0, 3.5}) {
-    const auto got = finv.inverse(y);
-    const auto want = flat.inverse(y);
-    ASSERT_EQ(got.has_value(), want.has_value()) << y;
-    if (got) ASSERT_DOUBLE_EQ(*got, *want) << y;
-  }
-  // Beyond the reachable range both report nullopt (flat tail).
-  const Curve capped{std::vector<Segment>{{0.0, 0.0, 1.0}, {2.0, 2.0, 0.0}}};
-  Curve::Cursor cinv(capped);
-  EXPECT_TRUE(cinv.inverse(1.0).has_value());
-  EXPECT_FALSE(cinv.inverse(5.0).has_value());
-  EXPECT_TRUE(cinv.inverse(2.0).has_value());  // backward after a failure
-}
-
 }  // namespace
 }  // namespace pap::nc

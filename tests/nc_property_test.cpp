@@ -1,11 +1,12 @@
-// Randomized property tests: every optimized NC kernel against its retained
-// naive implementation (nc::reference). The rewrites changed the algorithms
-// wholesale — two-pointer segment merges, a rotating-tangent deconvolution,
-// cursor-driven deviation walks — so the defence is volume: >10,000 seeded
-// random concave/convex pairs, including curves with sub-nanosecond segments
-// (which the old finite-difference slope probes silently mangled), checked
-// for agreement within 1e-6 at every merged breakpoint and at points between
-// and beyond them.
+// Randomized property tests: every NC operation (the Curve API, which runs
+// the nc/batch.hpp kernels) against its retained naive implementation in
+// the test-only oracle library (nc::reference). The rewrites changed the
+// algorithms wholesale — two-pointer segment merges, a rotating-tangent
+// deconvolution, cursor-driven deviation walks — so the defence is volume:
+// >10,000 seeded random concave/convex pairs, including curves with
+// sub-nanosecond segments (which the old finite-difference slope probes
+// silently mangled), checked for agreement within 1e-6 at every merged
+// breakpoint and at points between and beyond them.
 //
 // Everything is seeded (pap::Rng) and therefore exactly reproducible; on a
 // failure, print the case index and re-run with the same seed.
@@ -18,72 +19,16 @@
 #include "common/rng.hpp"
 #include "nc/curve.hpp"
 #include "nc/ops.hpp"
-#include "nc/reference.hpp"
+#include "oracle/nc_reference.hpp"
+#include "random_curves.hpp"
 
 namespace {
 
 using pap::Rng;
 using pap::nc::Curve;
 using pap::nc::Segment;
-
-// ---------------------------------------------------------------------------
-// Random curve generation
-// ---------------------------------------------------------------------------
-
-/// Random segment length; in sub-ns mode most lengths land below 1 ns, the
-/// regime where crossing points must come from segment slopes, not from
-/// eval(x + 1.0) probes.
-double random_length(Rng& rng, bool sub_ns) {
-  if (sub_ns) return 0.001 + 0.9 * rng.next_double();
-  return 0.5 + 19.5 * rng.next_double();
-}
-
-/// Concave arrival curve: burst >= 0, strictly decreasing positive slopes.
-Curve random_concave(Rng& rng, bool sub_ns) {
-  const int pieces = static_cast<int>(rng.uniform(1, 10));
-  std::vector<double> slopes;
-  slopes.reserve(static_cast<std::size_t>(pieces));
-  double s = 2.0 + 10.0 * rng.next_double();
-  for (int i = 0; i < pieces; ++i) {
-    slopes.push_back(s);
-    s *= 0.3 + 0.6 * rng.next_double();  // strictly decreasing, positive
-  }
-  std::vector<Segment> segs;
-  segs.reserve(slopes.size());
-  double x = 0.0;
-  double y = rng.chance(0.8) ? 16.0 * rng.next_double() : 0.0;  // burst
-  for (double slope : slopes) {
-    segs.push_back(Segment{x, y, slope});
-    const double len = random_length(rng, sub_ns);
-    x += len;
-    y += slope * len;
-  }
-  return Curve{std::move(segs)};
-}
-
-/// Convex service curve: f(0) = 0, non-decreasing slopes (possibly an
-/// initial latency piece of slope 0).
-Curve random_convex(Rng& rng, bool sub_ns) {
-  const int pieces = static_cast<int>(rng.uniform(1, 10));
-  std::vector<double> slopes;
-  slopes.reserve(static_cast<std::size_t>(pieces));
-  double s = rng.chance(0.5) ? 0.0 : 0.5 * rng.next_double();
-  for (int i = 0; i < pieces; ++i) {
-    slopes.push_back(s);
-    s += 0.2 + 3.0 * rng.next_double();  // strictly increasing
-  }
-  std::vector<Segment> segs;
-  segs.reserve(slopes.size());
-  double x = 0.0;
-  double y = 0.0;
-  for (double slope : slopes) {
-    segs.push_back(Segment{x, y, slope});
-    const double len = random_length(rng, sub_ns);
-    x += len;
-    y += slope * len;
-  }
-  return Curve{std::move(segs)};
-}
+using pap::nc_test::random_concave;
+using pap::nc_test::random_convex;
 
 // ---------------------------------------------------------------------------
 // Curve comparison at merged breakpoints (and between / beyond them)
@@ -129,7 +74,7 @@ double max_of(double u, double v) { return u > v ? u : v; }
 double sum_of(double u, double v) { return u + v; }
 
 // ---------------------------------------------------------------------------
-// combine_pointwise: min / max / add of random concave-or-convex pairs,
+// min / max / add of random concave-or-convex pairs,
 // plus a direct pointwise ground-truth check (3000 pairs -> 9000 combines)
 // ---------------------------------------------------------------------------
 
@@ -142,9 +87,14 @@ TEST(NcProperty, CombinePointwiseMatchesReferenceAndGroundTruth) {
         rng.chance(0.5) ? random_concave(rng, sub_ns) : random_convex(rng, sub_ns);
     const Curve b =
         rng.chance(0.5) ? random_concave(rng, sub_ns) : random_convex(rng, sub_ns);
-    double (*ops[])(double, double) = {min_of, max_of, sum_of};
-    for (auto op : ops) {
-      const Curve got = pap::nc::combine_pointwise(a, b, op);
+    const struct {
+      double (*op)(double, double);
+      Curve (*lib)(const Curve&, const Curve&);
+    } kOps[] = {{min_of, pap::nc::min},
+                {max_of, pap::nc::max},
+                {sum_of, pap::nc::add}};
+    for (const auto& [op, lib] : kOps) {
+      const Curve got = lib(a, b);
       const Curve want = pap::nc::reference::combine_pointwise(a, b, op);
       ASSERT_TRUE(curves_agree(got, want, i));
       // Ground truth, independent of either implementation: the combination
