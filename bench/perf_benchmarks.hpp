@@ -2,28 +2,33 @@
 // WCD bounding algorithm is "computationally inexpensive (milliseconds at
 // most), hence could also be done online if required (e.g., for admission
 // control)". These benches substantiate that claim for our implementation,
-// plus the NC primitives and the DES kernel that everything runs on.
+// plus the NC primitives, papd's request parse and the DES kernel that
+// everything runs on.
 //
 // Included by two binaries:
 //  * micro_nc_ops — plain BENCHMARK_MAIN() CLI for interactive use;
-//  * perf_report  — programmatic runner that writes BENCH_nc.json and
-//    BENCH_sim.json for the perf-regression harness (tools/bench_compare.py).
+//  * perf_report  — programmatic runner that writes BENCH_nc.json,
+//    BENCH_sim.json and BENCH_protocol.json for the perf-regression harness
+//    (tools/bench_compare.py).
 //
 // Every optimized kernel is benchmarked next to its retained naive
 // implementation from the test-only oracle library (tests/oracle:
 // nc::reference::*, dram::reference::service_curve,
-// core::reference::e2e_bound): the optimized/reference ratio is
-// machine-independent, which is what CI gates on — absolute nanoseconds
-// from shared runners are only recorded for the trajectory.
+// core::reference::e2e_bound, serve::reference::parse_request): the
+// optimized/reference ratio is machine-independent, which is what CI gates
+// on — absolute nanoseconds from shared runners are only recorded for the
+// trajectory.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/e2e_analysis.hpp"
 #include "dram/timing.hpp"
@@ -31,8 +36,10 @@
 #include "nc/bounds.hpp"
 #include "nc/ops.hpp"
 #include "noc/topology.hpp"
+#include "serve/protocol.hpp"
 #include "oracle/e2e_reference.hpp"
 #include "oracle/nc_reference.hpp"
+#include "oracle/serve_reference.hpp"
 #include "oracle/wcd_reference.hpp"
 #include "sim/kernel.hpp"
 
@@ -293,6 +300,106 @@ inline void BM_E2eBoundsPerFlow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_E2eBoundsPerFlow);
+
+// ---------------------------------------------------------------------------
+// papd request parse + cache identity: parse_request + key(), the work an
+// LRU-hit request does before the cache probe, against the tree-based
+// oracle (json_parse, sorted walk, per-level prefix strings). The corpus has
+// the shape of a warmed hot-request population: 2-app admission_check on a
+// 4x4 mesh, wcd_bound and nc_delay in a 2:1:1 mix, numbers as "%.6f".
+// ---------------------------------------------------------------------------
+
+inline std::string protocol_num(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.6f", v);
+  return buf;
+}
+
+inline std::string protocol_app(Rng& rng) {
+  auto real = [&rng](double lo, double hi) {
+    return protocol_num(lo + (hi - lo) * rng.next_double());
+  };
+  auto coord = [&rng] { return std::to_string(rng.uniform(0, 3)); };
+  return "{\"burst\":" + std::to_string(rng.uniform(1, 8)) +
+         ",\"rate\":" + real(0.05, 1.5) + ",\"src_x\":" + coord() +
+         ",\"src_y\":" + coord() + ",\"dst_x\":" + coord() +
+         ",\"dst_y\":" + coord() + ",\"deadline_ns\":" +
+         real(2000.0, 8000.0) + ",\"uses_dram\":" +
+         (rng.chance(0.25) ? "true" : "false") +
+         ",\"critical\":" + (rng.chance(0.5) ? "true" : "false") + "}";
+}
+
+inline std::vector<std::string> protocol_corpus() {
+  static const char* kPolicies[] = {"frfcfs", "fcfs", "close_page",
+                                    "starvation_guard"};
+  static const char* kDevices[] = {"ddr3_1600", "ddr4_2400", "lpddr4_3200"};
+  Rng rng(0x407);
+  auto real = [&rng](double lo, double hi) {
+    return protocol_num(lo + (hi - lo) * rng.next_double());
+  };
+  std::vector<std::string> lines;
+  for (int i = 0; i < 384; ++i) {
+    std::string body;
+    switch (i % 4) {
+      case 0:
+      case 1: {
+        const std::string budget = real(8.0, 64.0);
+        const std::string a0 = protocol_app(rng);
+        const std::string a1 = protocol_app(rng);
+        body = "\"op\":\"admission_check\",\"params\":{\"mesh_cols\":4,"
+               "\"mesh_rows\":4,\"noc_budget_gbps\":" + budget +
+               ",\"apps\":[" + a0 + "," + a1 + "]}";
+        break;
+      }
+      case 2: {
+        const std::string write = real(0.5, 6.0);
+        const std::string n = std::to_string(rng.uniform(1, 32));
+        const std::string policy = kPolicies[rng.uniform(0, 3)];
+        body = "\"op\":\"wcd_bound\",\"params\":{\"write_gbps\":" + write +
+               ",\"n\":" + n + ",\"dram\":{\"policy\":\"" + policy +
+               "\",\"device\":\"" + kDevices[rng.uniform(0, 2)] + "\"}}";
+        break;
+      }
+      default: {
+        const std::string burst = real(1.0, 64.0);
+        const std::string rate = real(0.5, 12.0);
+        const std::string srate = real(12.8, 25.6);
+        body = "\"op\":\"nc_delay\",\"params\":{\"arrival\":{\"burst\":" +
+               burst + ",\"rate\":" + rate + "},\"service\":{\"rate\":" +
+               srate + ",\"latency_ns\":" + real(50.0, 500.0) + "}}";
+      }
+    }
+    lines.push_back("{\"id\":" + std::to_string(100000 + i) + "," + body +
+                    "}");
+  }
+  return lines;
+}
+
+template <typename Parse>
+void run_parse_key(benchmark::State& state, Parse parse) {
+  const auto lines = protocol_corpus();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto req = parse(lines[i]);
+    std::string key = req.value().key();
+    benchmark::DoNotOptimize(key.data());
+    if (++i == lines.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+inline void BM_ServeParseKey(benchmark::State& state) {
+  run_parse_key(state,
+                [](const std::string& l) { return serve::parse_request(l); });
+}
+BENCHMARK(BM_ServeParseKey);
+
+inline void BM_ServeParseKeyReference(benchmark::State& state) {
+  run_parse_key(state, [](const std::string& l) {
+    return serve::reference::parse_request(l);
+  });
+}
+BENCHMARK(BM_ServeParseKeyReference);
 
 // ---------------------------------------------------------------------------
 // DES kernel

@@ -1,6 +1,7 @@
 // Perf-regression harness: runs the shared microbenchmark set and writes the
-// results to BENCH_nc.json (NC curve algebra + WCD analysis) and
-// BENCH_sim.json (DES kernel) in a stable, diff-friendly schema:
+// results to BENCH_nc.json (NC curve algebra + WCD analysis),
+// BENCH_sim.json (DES kernel) and BENCH_protocol.json (papd request parse +
+// cache key) in a stable, diff-friendly schema:
 //
 //   {
 //     "schema": "pap-bench-v1",
@@ -62,6 +63,10 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 
 bool is_sim_bench(const std::string& name) {
   return name.rfind("BM_Kernel", 0) == 0 || name.rfind("BM_Sim", 0) == 0;
+}
+
+bool is_protocol_bench(const std::string& name) {
+  return name.rfind("BM_ServeParse", 0) == 0;
 }
 
 bool write_suite(const std::string& path, const std::string& suite,
@@ -142,10 +147,17 @@ int main(int argc, char** argv) {
 
   std::vector<Result> nc_results;
   std::vector<Result> sim_results;
+  std::vector<Result> protocol_results;
   for (const auto& r : reporter.results()) {
-    (is_sim_bench(r.name) ? sim_results : nc_results).push_back(r);
+    (is_sim_bench(r.name)        ? sim_results
+     : is_protocol_bench(r.name) ? protocol_results
+                                 : nc_results)
+        .push_back(r);
   }
-  const bool ok = write_suite(out_dir + "/BENCH_nc.json", "nc", nc_results) &&
-                  write_suite(out_dir + "/BENCH_sim.json", "sim", sim_results);
+  const bool ok =
+      write_suite(out_dir + "/BENCH_nc.json", "nc", nc_results) &&
+      write_suite(out_dir + "/BENCH_sim.json", "sim", sim_results) &&
+      write_suite(out_dir + "/BENCH_protocol.json", "protocol",
+                  protocol_results);
   return ok ? 0 : 1;
 }

@@ -1,9 +1,12 @@
 #include "exp/experiment.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.hpp"
 
@@ -11,25 +14,76 @@ namespace pap::exp {
 
 namespace {
 
-// Lossless double <-> text via hexfloat.
-std::string double_repr(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
+// Lossless double -> text: printf("%a") exactly as glibc spells it, which
+// the canonical encoding (cache keys, on-disk results) is pinned to, without
+// the printf machinery. Normals are "0x1.<hex>p<exp>", subnormals
+// "0x0.<hex>p-1022", zero "0x0p+0"; trailing zero nibbles are dropped (and
+// the '.' with them); infinities and NaNs are "inf"/"nan"; a set sign bit
+// prefixes '-'. Writes at most 24 bytes and returns the end.
+constexpr std::size_t kHexfloatMax = 24;
+
+char* hexfloat(double v, char* out) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  if (bits >> 63) *out++ = '-';
+  const int biased = static_cast<int>((bits >> 52) & 0x7FF);
+  std::uint64_t frac = bits & ((std::uint64_t{1} << 52) - 1);
+  if (biased == 0x7FF) {
+    std::memcpy(out, frac != 0 ? "nan" : "inf", 3);
+    return out + 3;
+  }
+  *out++ = '0';
+  *out++ = 'x';
+  *out++ = biased == 0 ? '0' : '1';
+  const int exp = biased != 0 ? biased - 1023 : (frac != 0 ? -1022 : 0);
+  if (frac != 0) {
+    *out++ = '.';
+    int digits = 13;
+    while ((frac & 0xF) == 0) {
+      frac >>= 4;
+      --digits;
+    }
+    for (int i = digits - 1; i >= 0; --i, frac >>= 4) {
+      out[i] = "0123456789abcdef"[frac & 0xF];
+    }
+    out += digits;
+  }
+  *out++ = 'p';
+  *out++ = exp < 0 ? '-' : '+';
+  return std::to_chars(out, out + 4, exp < 0 ? -exp : exp).ptr;
+}
+
+// `s` with '\\', tab, newline and CR escaped, for the tab/newline-framed
+// canonical and result-cache encodings: its length, and the bytes written
+// at `p` (returns the end).
+std::size_t escaped_size(const std::string& s) {
+  std::size_t n = s.size();
+  for (const char c : s) n += c == '\\' || c == '\t' || c == '\n' || c == '\r';
+  return n;
+}
+
+char* write_escaped(char* p, const std::string& s) {
+  for (const char c : s) {
+    switch (c) {
+      case '\\': *p++ = '\\'; *p++ = '\\'; break;
+      case '\t': *p++ = '\\'; *p++ = 't'; break;
+      case '\n': *p++ = '\\'; *p++ = 'n'; break;
+      case '\r': *p++ = '\\'; *p++ = 'r'; break;
+      default: *p++ = c;
+    }
+  }
+  return p;
+}
+
+void append_escaped(std::string* out, const std::string& s) {
+  const std::size_t old = out->size();
+  out->resize(old + escaped_size(s));
+  write_escaped(out->data() + old, s);
 }
 
 std::string escape(const std::string& s) {
   std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\t': out += "\\t"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
+  append_escaped(&out, s);
   return out;
 }
 
@@ -60,6 +114,32 @@ char kind_tag(Value::Kind k) {
     case Value::Kind::kTime: return 't';
   }
   return '?';
+}
+
+// Upper bound on the length of `v.canonical()`.
+std::size_t canonical_bound(const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kDouble: return 2 + kHexfloatMax;
+    case Value::Kind::kString: return 2 + escaped_size(v.as_string());
+    default: return 2 + 20;  // "-9223372036854775808"
+  }
+}
+
+// Writes the canonical "<kind tag>:<payload>" of a non-string `v` to
+// `buf` (room for kScalarMax bytes); returns the end.
+constexpr std::size_t kScalarMax = 2 + kHexfloatMax;
+
+char* scalar_canonical(const Value& v, char* buf) {
+  *buf++ = kind_tag(v.kind());
+  *buf++ = ':';
+  switch (v.kind()) {
+    case Value::Kind::kDouble: return hexfloat(v.as_double(), buf);
+    case Value::Kind::kBool: *buf = v.as_bool() ? '1' : '0'; return buf + 1;
+    case Value::Kind::kTime:
+      return std::to_chars(buf, buf + kHexfloatMax, v.as_time().picos()).ptr;
+    default:
+      return std::to_chars(buf, buf + kHexfloatMax, v.as_int()).ptr;
+  }
 }
 
 std::vector<std::string> split_tabs(const std::string& line) {
@@ -196,14 +276,13 @@ std::string Value::json() const {
 }
 
 std::string Value::canonical() const {
-  std::string out(1, kind_tag(kind_));
-  out += ':';
-  switch (kind_) {
-    case Kind::kDouble: out += double_repr(dbl_); break;
-    case Kind::kString: out += escape(str_); break;
-    default: out += std::to_string(int_);
+  if (kind_ == Kind::kString) {
+    std::string out = "s:";
+    append_escaped(&out, str_);
+    return out;
   }
-  return out;
+  char buf[kScalarMax];
+  return std::string(buf, scalar_canonical(*this, buf));
 }
 
 bool Value::operator==(const Value& o) const {
@@ -212,7 +291,11 @@ bool Value::operator==(const Value& o) const {
     case Kind::kDouble:
       // Bitwise comparison: cache round trips are exact, and NaN != NaN
       // would make every NaN-carrying result "different from itself".
-      return double_repr(dbl_) == double_repr(o.dbl_);
+      {
+        char a[kHexfloatMax], b[kHexfloatMax];
+        return std::string_view(a, hexfloat(dbl_, a) - a) ==
+               std::string_view(b, hexfloat(o.dbl_, b) - b);
+      }
     case Kind::kString:
       return str_ == o.str_;
     default:
@@ -255,10 +338,31 @@ std::string ParamMap::label() const {
 
 std::string ParamMap::canonical() const {
   std::string out;
-  for (const auto& [k, v] : entries_) {
-    out += escape(k) + '\t' + v.canonical() + '\n';
-  }
+  append_canonical(&out);
   return out;
+}
+
+void ParamMap::append_canonical(std::string* out) const {
+  std::size_t size = out->size();
+  for (const auto& [k, v] : entries_) {
+    size += escaped_size(k) + 2 + canonical_bound(v);
+  }
+  const std::size_t old = out->size();
+  out->resize(size);
+  char* p = out->data() + old;
+  for (const auto& [k, v] : entries_) {
+    p = write_escaped(p, k);
+    *p++ = '\t';
+    if (v.kind() == Value::Kind::kString) {
+      *p++ = 's';
+      *p++ = ':';
+      p = write_escaped(p, v.as_string());
+    } else {
+      p = scalar_canonical(v, p);
+    }
+    *p++ = '\n';
+  }
+  out->resize(static_cast<std::size_t>(p - out->data()));
 }
 
 Result& Result::set(std::string name, Value v) {

@@ -84,6 +84,13 @@ class Value {
 /// sink uses, so sweeps render reproducibly.
 class ParamMap {
  public:
+  ParamMap() = default;
+  /// Adopts `entries` as they are. The keys must be unique (unchecked):
+  /// this is for builders that already guarantee it, e.g. a parser
+  /// emitting a flattened object, where `set`'s per-key scan is waste.
+  explicit ParamMap(std::vector<std::pair<std::string, Value>> entries)
+      : entries_(std::move(entries)) {}
+
   ParamMap& set(std::string key, Value v);
   const Value* find(const std::string& key) const;
   /// Checked lookup; missing keys are a programming error in the sweep.
@@ -105,8 +112,11 @@ class ParamMap {
 
   /// "hogs=3 memguard=true" — for logs and default labels.
   std::string label() const;
-  /// Stable representation for content hashing.
+  /// Stable representation for content hashing: one
+  /// "<key>\t<Value::canonical()>\n" line per entry, keys escaped.
   std::string canonical() const;
+  /// Appends canonical() to `*out`, reserving the room up front.
+  void append_canonical(std::string* out) const;
 
   bool operator==(const ParamMap& o) const { return entries_ == o.entries_; }
 

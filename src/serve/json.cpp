@@ -1,294 +1,315 @@
 #include "serve/json.hpp"
 
 #include <cerrno>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 namespace pap::serve {
 
-namespace {
-
-struct Parser {
-  const char* p;
-  const char* end;
-  const char* begin;
-  const JsonLimits& limits;
-  std::string error;  // first error wins
-
-  explicit Parser(const std::string& text, const JsonLimits& lim)
-      : p(text.data()), end(text.data() + text.size()), begin(text.data()),
-        limits(lim) {}
-
-  bool fail(const std::string& msg) {
-    if (error.empty()) {
-      error = msg + " at byte " + std::to_string(p - begin);
-    }
-    return false;
+JsonReader::JsonReader(std::string_view text, const JsonLimits& limits)
+    : p_(text.data()), end_(text.data() + text.size()), begin_(text.data()),
+      max_depth_(limits.max_depth) {
+  if (text.size() > limits.max_bytes) {
+    error_ = "input of " + std::to_string(text.size()) +
+             " bytes exceeds limit of " + std::to_string(limits.max_bytes);
   }
+}
 
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
+bool JsonReader::fail(std::string_view msg) {
+  if (error_.empty()) {
+    error_ = std::string(msg) + " at byte " + std::to_string(p_ - begin_);
   }
+  return false;
+}
 
-  bool expect(char c) {
-    if (p < end && *p == c) {
-      ++p;
+void JsonReader::skip_ws() {
+  while (p_ < end_ &&
+         (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
+    ++p_;
+  }
+}
+
+bool JsonReader::expect(char c) {
+  if (p_ < end_ && *p_ == c) {
+    ++p_;
+    return true;
+  }
+  return fail(std::string("expected '") + c + "'");
+}
+
+bool JsonReader::peek(Token* token) {
+  if (depth_ > max_depth_) return fail("nesting too deep");
+  skip_ws();
+  if (p_ >= end_) return fail("unexpected end of input");
+  switch (*p_) {
+    case '{': *token = Token::kObject; break;
+    case '[': *token = Token::kArray; break;
+    case '"': *token = Token::kString; break;
+    case 't':
+    case 'f': *token = Token::kBool; break;
+    case 'n': *token = Token::kNull; break;
+    default: *token = Token::kNumber;
+  }
+  return true;
+}
+
+bool JsonReader::read_null() {
+  if (end_ - p_ >= 4 && std::memcmp(p_, "null", 4) == 0) {
+    p_ += 4;
+    return true;
+  }
+  return fail("bad literal");
+}
+
+bool JsonReader::read_bool(bool* out) {
+  if (end_ - p_ >= 4 && std::memcmp(p_, "true", 4) == 0) {
+    *out = true;
+    p_ += 4;
+    return true;
+  }
+  if (end_ - p_ >= 5 && std::memcmp(p_, "false", 5) == 0) {
+    *out = false;
+    p_ += 5;
+    return true;
+  }
+  return fail("bad literal");
+}
+
+bool JsonReader::read_number(JsonNumber* out) {
+  const char* start = p_;
+  if (p_ < end_ && *p_ == '-') ++p_;
+  if (p_ >= end_ || *p_ < '0' || *p_ > '9') return fail("bad number");
+  // JSON forbids leading zeros ("01"): a zero first digit must be the
+  // whole integer part.
+  if (*p_ == '0' && p_ + 1 < end_ && p_[1] >= '0' && p_[1] <= '9') {
+    return fail("leading zero in number");
+  }
+  while (p_ < end_ && *p_ >= '0' && *p_ <= '9') ++p_;
+  bool integral = true;
+  if (p_ < end_ && *p_ == '.') {
+    integral = false;
+    ++p_;
+    if (p_ >= end_ || *p_ < '0' || *p_ > '9') return fail("bad number");
+    while (p_ < end_ && *p_ >= '0' && *p_ <= '9') ++p_;
+  }
+  if (p_ < end_ && (*p_ == 'e' || *p_ == 'E')) {
+    integral = false;
+    ++p_;
+    if (p_ < end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+    if (p_ >= end_ || *p_ < '0' || *p_ > '9') return fail("bad exponent");
+    while (p_ < end_ && *p_ >= '0' && *p_ <= '9') ++p_;
+  }
+  if (integral) {
+    std::int64_t v = 0;
+    const auto r = std::from_chars(start, p_, v);
+    if (r.ec == std::errc() && r.ptr == p_) {
+      out->is_int = true;
+      out->int_v = v;
       return true;
     }
-    return fail(std::string("expected '") + c + "'");
+    // Overflowed int64: read it as a double.
   }
-
-  bool parse_value(JsonValue* out, int depth) {
-    if (depth > limits.max_depth) return fail("nesting too deep");
-    skip_ws();
-    if (p >= end) return fail("unexpected end of input");
-    switch (*p) {
-      case '{': return parse_object(out, depth);
-      case '[': return parse_array(out, depth);
-      case '"': {
-        out->kind = JsonValue::Kind::kString;
-        return parse_string(&out->str_v);
-      }
-      case 't':
-        if (end - p >= 4 && std::memcmp(p, "true", 4) == 0) {
-          out->kind = JsonValue::Kind::kBool;
-          out->bool_v = true;
-          p += 4;
-          return true;
-        }
-        return fail("bad literal");
-      case 'f':
-        if (end - p >= 5 && std::memcmp(p, "false", 5) == 0) {
-          out->kind = JsonValue::Kind::kBool;
-          out->bool_v = false;
-          p += 5;
-          return true;
-        }
-        return fail("bad literal");
-      case 'n':
-        if (end - p >= 4 && std::memcmp(p, "null", 4) == 0) {
-          out->kind = JsonValue::Kind::kNull;
-          p += 4;
-          return true;
-        }
-        return fail("bad literal");
-      default:
-        return parse_number(out);
-    }
-  }
-
-  bool parse_object(JsonValue* out, int depth) {
-    out->kind = JsonValue::Kind::kObject;
-    if (!expect('{')) return false;
-    skip_ws();
-    if (p < end && *p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (p >= end || *p != '"') return fail("expected object key");
-      if (!parse_string(&key)) return false;
-      skip_ws();
-      if (!expect(':')) return false;
-      JsonValue member;
-      if (!parse_value(&member, depth + 1)) return false;
-      if (!out->object_v.emplace(std::move(key), std::move(member)).second) {
-        return fail("duplicate object key");
-      }
-      skip_ws();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      return expect('}');
-    }
-  }
-
-  bool parse_array(JsonValue* out, int depth) {
-    out->kind = JsonValue::Kind::kArray;
-    if (!expect('[')) return false;
-    skip_ws();
-    if (p < end && *p == ']') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      JsonValue elem;
-      if (!parse_value(&elem, depth + 1)) return false;
-      out->array_v.push_back(std::move(elem));
-      skip_ws();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      return expect(']');
-    }
-  }
-
-  bool parse_string(std::string* out) {
-    if (!expect('"')) return false;
-    out->clear();
-    while (p < end) {
-      const unsigned char c = static_cast<unsigned char>(*p);
-      if (c == '"') {
-        ++p;
-        return true;
-      }
-      if (c == '\\') {
-        ++p;
-        if (p >= end) return fail("truncated escape");
-        switch (*p) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'n': *out += '\n'; break;
-          case 'r': *out += '\r'; break;
-          case 't': *out += '\t'; break;
-          case 'u': {
-            if (end - p < 5) return fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 1; i <= 4; ++i) {
-              const char h = p[i];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return fail("bad \\u escape");
-            }
-            p += 4;
-            // Encode as UTF-8. Surrogates are not paired — they encode as
-            // three-byte sequences, which is lossy but never crashes; the
-            // analysis request grammar is ASCII anyway.
-            if (code < 0x80) {
-              *out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              *out += static_cast<char>(0xC0 | (code >> 6));
-              *out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              *out += static_cast<char>(0xE0 | (code >> 12));
-              *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              *out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default:
-            return fail("bad escape");
-        }
-        ++p;
-        continue;
-      }
-      if (c < 0x20) return fail("raw control character in string");
-      *out += static_cast<char>(c);
-      ++p;
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_number(JsonValue* out) {
-    const char* start = p;
-    if (p < end && *p == '-') ++p;
-    if (p >= end || *p < '0' || *p > '9') return fail("bad number");
-    // JSON forbids leading zeros ("01"): a zero first digit must be the
-    // whole integer part.
-    if (*p == '0' && p + 1 < end && p[1] >= '0' && p[1] <= '9') {
-      return fail("leading zero in number");
-    }
-    while (p < end && *p >= '0' && *p <= '9') ++p;
-    bool integral = true;
-    if (p < end && *p == '.') {
-      integral = false;
-      ++p;
-      if (p >= end || *p < '0' || *p > '9') return fail("bad number");
-      while (p < end && *p >= '0' && *p <= '9') ++p;
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      integral = false;
-      ++p;
-      if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || *p < '0' || *p > '9') return fail("bad exponent");
-      while (p < end && *p >= '0' && *p <= '9') ++p;
-    }
-    const std::string text(start, p);
-    errno = 0;
-    if (integral) {
-      char* conv_end = nullptr;
-      const long long v = std::strtoll(text.c_str(), &conv_end, 10);
-      if (errno == 0 && conv_end == text.c_str() + text.size()) {
-        out->kind = JsonValue::Kind::kInt;
-        out->int_v = v;
-        return true;
-      }
-      errno = 0;  // overflowed int64: fall through to double
-    }
-    char* conv_end = nullptr;
-    const double d = std::strtod(text.c_str(), &conv_end);
-    if (errno != 0 || conv_end != text.c_str() + text.size()) {
-      p = start;
-      return fail("unrepresentable number");
-    }
-    out->kind = JsonValue::Kind::kDouble;
+  // from_chars rounds exactly like strtod. It differs only in which
+  // results it flags out of range: strtod also rejects (ERANGE) every
+  // underflow to a subnormal or to DBL_MIN and every nonzero input that
+  // rounds to zero. A result that is normal and above DBL_MIN is
+  // unambiguous; everything else goes through strtod, which defines the
+  // rejection set.
+  double d = 0.0;
+  const auto r = std::from_chars(start, p_, d);
+  if (r.ec == std::errc() && r.ptr == p_ && std::fabs(d) > DBL_MIN) {
+    out->is_int = false;
     out->dbl_v = d;
     return true;
   }
-};
-
-Status flatten_into(const JsonValue& v, const std::string& prefix,
-                    exp::Params* out) {
-  switch (v.kind) {
-    case JsonValue::Kind::kBool:
-      out->set(prefix, exp::Value{v.bool_v});
-      return Status::ok();
-    case JsonValue::Kind::kInt:
-      out->set(prefix, exp::Value{v.int_v});
-      return Status::ok();
-    case JsonValue::Kind::kDouble:
-      out->set(prefix, exp::Value{v.dbl_v});
-      return Status::ok();
-    case JsonValue::Kind::kString:
-      out->set(prefix, exp::Value{v.str_v});
-      return Status::ok();
-    case JsonValue::Kind::kNull:
-      return Status::error("null is not a valid parameter value ('" + prefix +
-                           "')");
-    case JsonValue::Kind::kArray: {
-      if (v.array_v.empty()) {
-        return Status::error("empty array parameter '" + prefix + "'");
-      }
-      for (std::size_t i = 0; i < v.array_v.size(); ++i) {
-        const std::string key = prefix + "." + std::to_string(i);
-        if (auto s = flatten_into(v.array_v[i], key, out); !s) return s;
-      }
-      return Status::ok();
-    }
-    case JsonValue::Kind::kObject: {
-      if (v.object_v.empty()) {
-        return Status::error("empty object parameter '" + prefix + "'");
-      }
-      for (const auto& [key, member] : v.object_v) {
-        if (key.empty()) {
-          return Status::error("empty key under '" + prefix + "'");
-        }
-        if (key.find('.') != std::string::npos) {
-          return Status::error("parameter key '" + key +
-                               "' must not contain '.'");
-        }
-        const std::string path = prefix.empty() ? key : prefix + "." + key;
-        if (auto s = flatten_into(member, path, out); !s) return s;
-      }
-      return Status::ok();
-    }
+  const std::string text(start, p_);
+  char* conv_end = nullptr;
+  errno = 0;
+  d = std::strtod(text.c_str(), &conv_end);
+  if (errno != 0 || conv_end != text.c_str() + text.size()) {
+    p_ = start;
+    return fail("unrepresentable number");
   }
-  return Status::error("unreachable JSON kind");
+  out->is_int = false;
+  out->dbl_v = d;
+  return true;
 }
 
-}  // namespace
+bool JsonReader::read_string(std::string* out) {
+  if (!expect('"')) return false;
+  while (p_ < end_) {
+    const char* run = p_;
+    while (p_ < end_ && *p_ != '"' && *p_ != '\\' &&
+           static_cast<unsigned char>(*p_) >= 0x20) {
+      ++p_;
+    }
+    out->append(run, static_cast<std::size_t>(p_ - run));
+    if (p_ >= end_) break;
+    if (*p_ == '"') {
+      ++p_;
+      return true;
+    }
+    if (*p_ != '\\') return fail("raw control character in string");
+    ++p_;
+    if (p_ >= end_) return fail("truncated escape");
+    switch (*p_) {
+      case '"': *out += '"'; break;
+      case '\\': *out += '\\'; break;
+      case '/': *out += '/'; break;
+      case 'b': *out += '\b'; break;
+      case 'f': *out += '\f'; break;
+      case 'n': *out += '\n'; break;
+      case 'r': *out += '\r'; break;
+      case 't': *out += '\t'; break;
+      case 'u': {
+        if (end_ - p_ < 5) return fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 1; i <= 4; ++i) {
+          const char h = p_[i];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else return fail("bad \\u escape");
+        }
+        p_ += 4;
+        // Encode as UTF-8. Surrogates are not paired — they encode as
+        // three-byte sequences, which is lossy but never crashes; the
+        // analysis request grammar is ASCII anyway.
+        if (code < 0x80) {
+          *out += static_cast<char>(code);
+        } else if (code < 0x800) {
+          *out += static_cast<char>(0xC0 | (code >> 6));
+          *out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          *out += static_cast<char>(0xE0 | (code >> 12));
+          *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          *out += static_cast<char>(0x80 | (code & 0x3F));
+        }
+        break;
+      }
+      default:
+        return fail("bad escape");
+    }
+    ++p_;
+  }
+  return fail("unterminated string");
+}
+
+bool JsonReader::begin_object(bool* has_member) {
+  if (!expect('{')) return false;
+  ++depth_;
+  skip_ws();
+  *has_member = !(p_ < end_ && *p_ == '}');
+  if (!*has_member) {
+    ++p_;
+    --depth_;
+  }
+  return true;
+}
+
+bool JsonReader::read_key(std::string* out) {
+  skip_ws();
+  if (p_ >= end_ || *p_ != '"') return fail("expected object key");
+  if (!read_string(out)) return false;
+  skip_ws();
+  return expect(':');
+}
+
+bool JsonReader::end_member(bool* more) {
+  skip_ws();
+  *more = p_ < end_ && *p_ == ',';
+  if (*more) {
+    ++p_;
+    return true;
+  }
+  --depth_;
+  return expect('}');
+}
+
+bool JsonReader::begin_array(bool* has_element) {
+  if (!expect('[')) return false;
+  ++depth_;
+  skip_ws();
+  *has_element = !(p_ < end_ && *p_ == ']');
+  if (!*has_element) {
+    ++p_;
+    --depth_;
+  }
+  return true;
+}
+
+bool JsonReader::end_element(bool* more) {
+  skip_ws();
+  *more = p_ < end_ && *p_ == ',';
+  if (*more) {
+    ++p_;
+    return true;
+  }
+  --depth_;
+  return expect(']');
+}
+
+bool JsonReader::finish() {
+  skip_ws();
+  return p_ == end_ || fail("trailing garbage after value");
+}
+
+bool JsonReader::read_value(JsonValue* out) {
+  Token token;
+  if (!peek(&token)) return false;
+  switch (token) {
+    case Token::kNull:
+      out->kind = JsonValue::Kind::kNull;
+      return read_null();
+    case Token::kBool:
+      out->kind = JsonValue::Kind::kBool;
+      return read_bool(&out->bool_v);
+    case Token::kNumber: {
+      JsonNumber n;
+      if (!read_number(&n)) return false;
+      out->kind = n.is_int ? JsonValue::Kind::kInt : JsonValue::Kind::kDouble;
+      out->int_v = n.int_v;
+      out->dbl_v = n.dbl_v;
+      return true;
+    }
+    case Token::kString:
+      out->kind = JsonValue::Kind::kString;
+      return read_string(&out->str_v);
+    case Token::kArray: {
+      out->kind = JsonValue::Kind::kArray;
+      bool more = false;
+      if (!begin_array(&more)) return false;
+      while (more) {
+        JsonValue elem;
+        if (!read_value(&elem)) return false;
+        out->array_v.push_back(std::move(elem));
+        if (!end_element(&more)) return false;
+      }
+      return true;
+    }
+    case Token::kObject: {
+      out->kind = JsonValue::Kind::kObject;
+      bool more = false;
+      if (!begin_object(&more)) return false;
+      while (more) {
+        std::string key;
+        JsonValue member;
+        if (!read_key(&key) || !read_value(&member)) return false;
+        if (!out->object_v.emplace(std::move(key), std::move(member)).second) {
+          return fail("duplicate object key");
+        }
+        if (!end_member(&more)) return false;
+      }
+      return true;
+    }
+  }
+  return fail("unreachable JSON token");
+}
 
 const JsonValue* JsonValue::get(const std::string& key) const {
   if (kind != Kind::kObject) return nullptr;
@@ -298,20 +319,10 @@ const JsonValue* JsonValue::get(const std::string& key) const {
 
 Expected<JsonValue> json_parse(const std::string& text,
                                const JsonLimits& limits) {
-  if (text.size() > limits.max_bytes) {
-    return Expected<JsonValue>::error(
-        "input of " + std::to_string(text.size()) + " bytes exceeds limit of " +
-        std::to_string(limits.max_bytes));
-  }
-  Parser parser(text, limits);
+  JsonReader in(text, limits);
   JsonValue v;
-  if (!parser.parse_value(&v, 0)) {
-    return Expected<JsonValue>::error(parser.error);
-  }
-  parser.skip_ws();
-  if (parser.p != parser.end) {
-    parser.fail("trailing garbage after value");
-    return Expected<JsonValue>::error(parser.error);
+  if (!in.ok() || !in.read_value(&v) || !in.finish()) {
+    return Expected<JsonValue>::error(in.error());
   }
   return v;
 }
@@ -336,20 +347,6 @@ std::string json_quote(const std::string& s) {
     }
   }
   return out + "\"";
-}
-
-Expected<exp::Params> json_flatten(const JsonValue& object) {
-  if (object.kind != JsonValue::Kind::kObject) {
-    return Expected<exp::Params>::error("params must be a JSON object");
-  }
-  exp::Params out;
-  if (object.object_v.empty()) return out;  // explicit "params":{} is fine
-  // std::map iteration gives sorted keys, so insertion order — and with it
-  // Params::canonical() — is independent of the request's member order.
-  if (auto s = flatten_into(object, "", &out); !s) {
-    return Expected<exp::Params>::error(s.message());
-  }
-  return out;
 }
 
 }  // namespace pap::serve

@@ -43,8 +43,14 @@ struct Request {
   exp::Params params;
 
   /// Cache/coalescing identity: op plus the canonical parameter encoding
-  /// (exactly the scheme exp::content_hash uses for the result cache).
-  std::string key() const { return op + '\n' + params.canonical(); }
+  /// (exactly the scheme exp::content_hash uses for the result cache),
+  /// written into one buffer.
+  std::string key() const {
+    std::string out = op;
+    out += '\n';
+    params.append_canonical(&out);
+    return out;
+  }
 };
 
 struct ParseLimits {
@@ -55,6 +61,17 @@ struct ParseLimits {
 /// Strict parse of one request line. Requirements: a JSON object with
 /// integer `id` >= 0, non-empty string `op`, optional object `params`;
 /// any other member is rejected. Never throws, never aborts.
+///
+/// One pass over the line with the strict JsonReader (json.hpp), no tree:
+/// `params` is flattened as it is read — nested objects become dotted keys
+/// ("service.rate"), array elements indexed keys ("apps.0.burst") — and
+/// emitted in canonical order: members sorted by key at every nesting
+/// level (std::map order, so "a.x" precedes "a-b"), array elements in
+/// index order ("apps.10" after "apps.9"). null, empty containers, empty
+/// keys and keys containing '.' are rejected (they have no Value
+/// representation or would alias another path). Any syntax error wins
+/// over these; among them, the first in canonical order is reported, and
+/// envelope members are checked in key order too.
 Expected<Request> parse_request(const std::string& line,
                                 const ParseLimits& limits = {});
 

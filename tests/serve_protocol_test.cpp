@@ -10,11 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <random>
 #include <string>
 
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
+#include "serve_request_corpus.hpp"
 
 namespace pap::serve {
 namespace {
@@ -48,6 +48,49 @@ TEST(ParseRequest, KeyIsInsensitiveToMemberOrder) {
       R"({"op":"x","params":{"a":1,"b":2},"id":9})");
   ASSERT_TRUE(a.has_value() && b.has_value());
   EXPECT_EQ(a.value().key(), b.value().key());
+
+  // Members sort per nesting level, not as whole dotted paths: '-' (0x2D)
+  // sorts before '.', yet the object "a" still comes before the key "a-b".
+  const auto c = parse_request(
+      R"({"id":1,"op":"x","params":{"a-b":2,"a":{"y":true,"x":1}}})");
+  const auto d = parse_request(
+      R"({"id":2,"op":"x","params":{"a":{"x":1,"y":true},"a-b":2}})");
+  ASSERT_TRUE(c.has_value() && d.has_value());
+  EXPECT_EQ(c.value().key(), d.value().key());
+  // Captured from the tree-based parser.
+  EXPECT_EQ(c.value().key(), "x\na.x\ti:1\na.y\tb:1\na-b\ti:2\n");
+
+  // Array elements keep index order: apps.10 and apps.11 after apps.9.
+  std::string apps_fwd, apps_rev;
+  for (int i = 0; i < 12; ++i) {
+    const std::string n = std::to_string(i);
+    apps_fwd += (i ? "," : "") + std::string(R"({"rate":)") + n +
+                R"(,"burst":0.5})";
+    apps_rev += (i ? "," : "") + std::string(R"({"burst":0.5,"rate":)") + n +
+                "}";
+  }
+  const auto e = parse_request(R"({"id":3,"op":"x","params":{"n":1,"apps":[)" +
+                               apps_fwd + "]}}");
+  const auto f = parse_request(R"({"id":4,"op":"x","params":{"apps":[)" +
+                               apps_rev + R"(],"n":1}})");
+  ASSERT_TRUE(e.has_value() && f.has_value());
+  EXPECT_EQ(e.value().key(), f.value().key());
+  // Captured from the tree-based parser.
+  EXPECT_EQ(e.value().key(),
+            "x\n"
+            "apps.0.burst\td:0x1p-1\napps.0.rate\ti:0\n"
+            "apps.1.burst\td:0x1p-1\napps.1.rate\ti:1\n"
+            "apps.2.burst\td:0x1p-1\napps.2.rate\ti:2\n"
+            "apps.3.burst\td:0x1p-1\napps.3.rate\ti:3\n"
+            "apps.4.burst\td:0x1p-1\napps.4.rate\ti:4\n"
+            "apps.5.burst\td:0x1p-1\napps.5.rate\ti:5\n"
+            "apps.6.burst\td:0x1p-1\napps.6.rate\ti:6\n"
+            "apps.7.burst\td:0x1p-1\napps.7.rate\ti:7\n"
+            "apps.8.burst\td:0x1p-1\napps.8.rate\ti:8\n"
+            "apps.9.burst\td:0x1p-1\napps.9.rate\ti:9\n"
+            "apps.10.burst\td:0x1p-1\napps.10.rate\ti:10\n"
+            "apps.11.burst\td:0x1p-1\napps.11.rate\ti:11\n"
+            "n\ti:1\n");
 }
 
 TEST(ParseRequest, RejectsEveryMalformedEnvelope) {
@@ -152,16 +195,7 @@ std::string hex_escape(const std::string& s) {
 }
 
 TEST(ParseRequestFuzz, RandomByteStreamsNeverCrash) {
-  std::mt19937 rng(0xC0FFEE);
-  std::uniform_int_distribution<int> len(0, 300);
-  std::uniform_int_distribution<int> byte(0, 255);
-  for (int i = 0; i < 20000; ++i) {
-    std::string line;
-    const int n = len(rng);
-    line.reserve(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      line.push_back(static_cast<char>(byte(rng)));
-    }
+  for (const auto& line : corpus::random_bytes(0xC0FFEE, 20000)) {
     const auto req = parse_request(line);
     if (!req.has_value()) {
       ASSERT_FALSE(req.error_message().empty()) << hex_escape(line);
@@ -170,20 +204,7 @@ TEST(ParseRequestFuzz, RandomByteStreamsNeverCrash) {
 }
 
 TEST(ParseRequestFuzz, StructuredSoupNeverCrashes) {
-  // Random concatenations of JSON-ish tokens reach much deeper into the
-  // parser than uniform bytes (which almost always die at byte 0).
-  const char* tokens[] = {"{", "}", "[", "]", ":", ",",  "\"id\"", "\"op\"",
-                          "\"params\"", "\"x\"", "1",  "-1",  "1e9",
-                          "1e999", "0.5", "true", "false", "null",
-                          "\"\\u00e9\"", "\"\\q\"", " ", "\\"};
-  std::mt19937 rng(0xBEEF);
-  std::uniform_int_distribution<int> count(1, 40);
-  std::uniform_int_distribution<std::size_t> pick(
-      0, sizeof(tokens) / sizeof(tokens[0]) - 1);
-  for (int i = 0; i < 20000; ++i) {
-    std::string line;
-    const int n = count(rng);
-    for (int j = 0; j < n; ++j) line += tokens[pick(rng)];
+  for (const auto& line : corpus::token_soup(0xBEEF, 20000)) {
     const auto req = parse_request(line);
     if (!req.has_value()) {
       ASSERT_FALSE(req.error_message().empty()) << hex_escape(line);
@@ -192,32 +213,8 @@ TEST(ParseRequestFuzz, StructuredSoupNeverCrashes) {
 }
 
 TEST(ParseRequestFuzz, MutatedValidRequestsNeverCrash) {
-  const std::string seed_line =
-      R"({"id":12,"op":"admission_check","params":{"noc":{"width":4},)"
-      R"("apps":[{"rate":0.125,"name":"cam"}],"strict":true}})";
-  ASSERT_TRUE(parse_request(seed_line).has_value());
-  std::mt19937 rng(0xDECAF);
-  std::uniform_int_distribution<std::size_t> pos(0, seed_line.size() - 1);
-  std::uniform_int_distribution<int> byte(0, 255);
-  std::uniform_int_distribution<int> edits(1, 4);
-  for (int i = 0; i < 20000; ++i) {
-    std::string line = seed_line;
-    const int n = edits(rng);
-    for (int j = 0; j < n; ++j) {
-      switch (byte(rng) % 3) {
-        case 0:  // flip
-          line[pos(rng) % line.size()] = static_cast<char>(byte(rng));
-          break;
-        case 1:  // delete
-          line.erase(pos(rng) % line.size(), 1);
-          break;
-        default:  // insert
-          line.insert(pos(rng) % line.size(), 1,
-                      static_cast<char>(byte(rng)));
-          break;
-      }
-      if (line.empty()) line = "x";
-    }
+  ASSERT_TRUE(parse_request(corpus::mutation_seed()).has_value());
+  for (const auto& line : corpus::mutated(0xDECAF, 20000)) {
     const auto req = parse_request(line);
     if (req.has_value()) {
       // Whatever survived mutation must still yield a usable identity.
