@@ -35,11 +35,13 @@
 #include <vector>
 
 #include "admit/incremental.hpp"
+#include "bench_report.hpp"
 #include "common/stats.hpp"
 #include "core/admission.hpp"
 #include "exp/runner.hpp"
 #include "exp/sink.hpp"
 #include "noc/topology.hpp"
+#include "oracle/admission_reference.hpp"
 
 using namespace pap;
 
@@ -47,11 +49,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-struct BenchRow {
-  std::string name;
-  double real_ns = 0.0;  // per decision
-  long long iterations = 0;
-};
+using bench::BenchRow;
 
 int g_failures = 0;
 
@@ -77,20 +75,12 @@ core::AppRequirement make_app(noc::AppId id, double burst, double rate,
   return a;
 }
 
-/// One seeded churn history against one engine; every metric is a pure
-/// function of (seed, decisions) — identical for both engines by the
-/// exactness contract, which the caller asserts.
-exp::Result churn_point(const exp::Params& p) {
-  const auto seed = static_cast<std::uint32_t>(p.get_int("seed"));
-  const long decisions = p.get_int("decisions");
-  const bool incremental = p.get_string("engine") == "incremental";
-
-  core::PlatformModel m;
-  m.noc.cols = 8;
-  m.noc.rows = 8;
-  core::AdmissionController ac(m, incremental
-                                      ? core::AdmissionEngine::kIncremental
-                                      : core::AdmissionEngine::kBatch);
+/// One seeded churn history against one engine (the controller or the
+/// batch oracle); every metric is a pure function of (seed, decisions) —
+/// identical for both engines by the exactness contract, which the caller
+/// asserts.
+template <class Engine>
+exp::Result churn_history(Engine& ac, std::uint32_t seed, long decisions) {
   noc::Mesh2D mesh(8, 8);
 
   constexpr int kApps = 48;
@@ -141,6 +131,20 @@ exp::Result churn_point(const exp::Params& p) {
   out.set("live", static_cast<std::int64_t>(ac.size()));
   out.set("outcome_hash", static_cast<std::int64_t>(hash));
   return out;
+}
+
+exp::Result churn_point(const exp::Params& p) {
+  const auto seed = static_cast<std::uint32_t>(p.get_int("seed"));
+  const long decisions = p.get_int("decisions");
+  core::PlatformModel m;
+  m.noc.cols = 8;
+  m.noc.rows = 8;
+  if (p.get_string("engine") == "incremental") {
+    core::AdmissionController ac(m);
+    return churn_history(ac, seed, decisions);
+  }
+  core::reference::BatchAdmission oracle(m);
+  return churn_history(oracle, seed, decisions);
 }
 
 bool run_determinism_sweep(const exp::CliOptions& cli) {
@@ -298,7 +302,7 @@ bool scale_point(long nflows, long rounds, bool oracle_check,
 }
 
 /// The batch oracle's per-decision cost: one full e2e_bounds_into pass
-/// over the same resident set (that is what every kBatch decision runs).
+/// over the same resident set (what every BatchAdmission decision runs).
 double batch_decision_ns(long nflows, int passes) {
   const TileLayout l = layout_for(nflows);
   core::PlatformModel m;
@@ -323,31 +327,6 @@ double batch_decision_ns(long nflows, int passes) {
   for (const auto& b : bounds) proven += b.has_value() ? 1 : 0;
   check(proven == flows.size(), "batch oracle proves every resident flow");
   return total_ns / static_cast<double>(passes);
-}
-
-bool write_report(const std::string& path, const std::vector<BenchRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "admission_churn: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"pap-bench-v1\",\n");
-  std::fprintf(f, "  \"suite\": \"admit\",\n");
-  std::fprintf(f, "  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"real_ns\": %.6g, "
-                 "\"cpu_ns\": %.6g, \"iterations\": %lld}%s\n",
-                 r.name.c_str(), r.real_ns, r.real_ns, r.iterations,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("admission_churn: wrote %s\n", path.c_str());
-  return true;
 }
 
 }  // namespace
@@ -400,7 +379,12 @@ int main(int argc, char** argv) {
   check(batch_ns > r10k.churn_ns_per_decision,
         "incremental beats one batch re-proof at 10^4 flows");
 
-  if (!write_report(cli.out_dir + "/BENCH_admit.json", rows)) return 1;
+  const std::string report = cli.out_dir + "/BENCH_admit.json";
+  if (!bench::write_bench_report(report, "admit", rows)) {
+    std::fprintf(stderr, "admission_churn: cannot write %s\n", report.c_str());
+    return 1;
+  }
+  std::printf("admission_churn: wrote %s\n", report.c_str());
   if (g_failures > 0) {
     std::printf("admission_churn: %d check(s) FAILED\n", g_failures);
     return 1;

@@ -26,16 +26,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "perf_benchmarks.hpp"
 
 namespace {
 
-struct Result {
-  std::string name;
-  double real_ns = 0.0;
-  double cpu_ns = 0.0;
-  std::int64_t iterations = 0;
-};
+using pap::bench::BenchRow;
 
 /// Collects per-iteration results while still printing the familiar console
 /// table, so interactive runs remain readable.
@@ -45,20 +41,17 @@ class CollectingReporter : public benchmark::ConsoleReporter {
     for (const auto& r : runs) {
       if (r.run_type != Run::RT_Iteration) continue;
       if (r.error_occurred) continue;
-      Result res;
-      res.name = r.benchmark_name();
-      res.real_ns = r.GetAdjustedRealTime();
-      res.cpu_ns = r.GetAdjustedCPUTime();
-      res.iterations = r.iterations;
-      results_.push_back(std::move(res));
+      results_.push_back(BenchRow{
+          r.benchmark_name(), r.GetAdjustedRealTime(),
+          static_cast<long long>(r.iterations), r.GetAdjustedCPUTime()});
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  const std::vector<Result>& results() const { return results_; }
+  const std::vector<BenchRow>& results() const { return results_; }
 
  private:
-  std::vector<Result> results_;
+  std::vector<BenchRow> results_;
 };
 
 bool is_sim_bench(const std::string& name) {
@@ -70,29 +63,11 @@ bool is_protocol_bench(const std::string& name) {
 }
 
 bool write_suite(const std::string& path, const std::string& suite,
-                 const std::vector<Result>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "perf_report: cannot open %s for writing\n",
-                 path.c_str());
+                 const std::vector<BenchRow>& results) {
+  if (!pap::bench::write_bench_report(path, suite, results)) {
+    std::fprintf(stderr, "perf_report: cannot write %s\n", path.c_str());
     return false;
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"pap-bench-v1\",\n");
-  std::fprintf(f, "  \"suite\": \"%s\",\n", suite.c_str());
-  std::fprintf(f, "  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"real_ns\": %.6g, "
-                 "\"cpu_ns\": %.6g, \"iterations\": %lld}%s\n",
-                 r.name.c_str(), r.real_ns, r.cpu_ns,
-                 static_cast<long long>(r.iterations),
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
   std::printf("perf_report: wrote %zu benchmarks to %s\n", results.size(),
               path.c_str());
   return true;
@@ -145,9 +120,9 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  std::vector<Result> nc_results;
-  std::vector<Result> sim_results;
-  std::vector<Result> protocol_results;
+  std::vector<BenchRow> nc_results;
+  std::vector<BenchRow> sim_results;
+  std::vector<BenchRow> protocol_results;
   for (const auto& r : reporter.results()) {
     (is_sim_bench(r.name)        ? sim_results
      : is_protocol_bench(r.name) ? protocol_results

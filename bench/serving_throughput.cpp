@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "common/stats.hpp"
 #include "dram/controller.hpp"
 #include "dram/timing.hpp"
@@ -51,11 +52,7 @@ using Clock = std::chrono::steady_clock;
 using pap::serve::AnalysisService;
 using pap::serve::ServiceConfig;
 
-struct BenchRow {
-  std::string name;
-  double real_ns = 0.0;  // per operation
-  long long iterations = 0;
-};
+using pap::bench::BenchRow;
 
 int g_failures = 0;
 
@@ -430,32 +427,6 @@ BenchRow bench_disk_warm_restart() {
                   static_cast<long long>(gbps.size())};
 }
 
-bool write_report(const std::string& path, const std::vector<BenchRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "serving_throughput: cannot write %s\n",
-                 path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"pap-bench-v1\",\n");
-  std::fprintf(f, "  \"suite\": \"serve\",\n");
-  std::fprintf(f, "  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"real_ns\": %.6g, "
-                 "\"cpu_ns\": %.6g, \"iterations\": %lld}%s\n",
-                 r.name.c_str(), r.real_ns, r.real_ns, r.iterations,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("serving_throughput: wrote %s\n", path.c_str());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -480,7 +451,13 @@ int main(int argc, char** argv) {
   std::printf("== disk warm restart ==\n");
   rows.push_back(bench_disk_warm_restart());
 
-  if (!write_report(out_dir + "/BENCH_serve.json", rows)) return 1;
+  const std::string report = out_dir + "/BENCH_serve.json";
+  if (!pap::bench::write_bench_report(report, "serve", rows)) {
+    std::fprintf(stderr, "serving_throughput: cannot write %s\n",
+                 report.c_str());
+    return 1;
+  }
+  std::printf("serving_throughput: wrote %s\n", report.c_str());
   if (g_failures > 0) {
     std::printf("serving_throughput: %d check(s) FAILED\n", g_failures);
     return 1;

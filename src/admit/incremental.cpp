@@ -312,7 +312,7 @@ Expected<core::AdmissionGrant> IncrementalAdmission::request(
         "app " + std::to_string(req.app) + " already admitted");
   }
 
-  // Route computation (Sec. IV), mirrored from the batch controller: the
+  // Route computation (Sec. IV), mirrored from the batch oracle: the
   // requested dimension order first, then the flipped order.
   std::string first_error;
   for (int attempt = 0; attempt < 2; ++attempt) {

@@ -1,10 +1,10 @@
 // Incremental admission control: the batch analysis, one component at a
 // time (docs/admission.md).
 //
-// core::AdmissionController's batch path re-proves *every* admitted flow on
-// every decision — O(flows) per admit/release, which caps the "millions of
-// users" north star. This engine keeps the converged fixpoint state
-// resident between decisions:
+// A batch decision re-proves *every* admitted flow — O(flows) per
+// admit/release, which caps the "millions of users" north star. This
+// engine, the one behind core::AdmissionController, keeps the converged
+// fixpoint state resident between decisions:
 //
 //  * flows live in flat slot-indexed arrays (stable FlowSlot ids handed
 //    out from a free list), each holding the committed requirement, its
@@ -26,7 +26,8 @@
 // Every decision is decision-identical — same grants, same rejection
 // strings — and every cached bound is ps-exact against
 // E2eAnalysis::e2e_bounds_into over the same flow set; the seeded churn in
-// tests/admit_incremental_test.cpp and bench/admission_churn.cpp pin this.
+// tests/admit_incremental_test.cpp and bench/admission_churn.cpp pins this
+// against the batch oracle (core::reference::BatchAdmission, tests/oracle).
 //
 // DRAM is the one globally shared resource: its residual service depends
 // on the whole uses_dram set, not on NoC sharing. The engine therefore
@@ -81,7 +82,7 @@ class IncrementalAdmission {
  public:
   explicit IncrementalAdmission(core::PlatformModel model);
 
-  /// Decision-identical to core::AdmissionController::request on the same
+  /// Decision-identical to a batch re-proof of every flow on the same
   /// admission history: same route-retry order, same grant fields, same
   /// rejection strings (the failing flow is the admission-order-first one,
   /// exactly as the batch scan reports it).

@@ -14,20 +14,16 @@
 // enforcement point must be programmed with (the rates the RM distributes
 // via confMsg).
 //
-// Two engines prove the same decisions (docs/admission.md):
-//  * kBatch re-proves every admitted flow per decision with one
-//    E2eAnalysis::e2e_bounds_into pass — O(flows) per decision, simple,
-//    and the oracle the incremental engine is tested against;
-//  * kIncremental keeps converged fixpoint state resident and re-proves
-//    only the decision's dirty component (admit::IncrementalAdmission) —
-//    bounded per-decision work under churn, decision-identical and
-//    bound-ps-exact versus the batch path.
+// The proof engine is admit::IncrementalAdmission: it keeps the converged
+// fixpoint state resident and re-proves only the decision's dirty
+// component, taking exactly the decisions a full re-proof of every flow
+// would take (docs/admission.md; the full re-proof is the test-only oracle
+// core::reference::BatchAdmission).
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <optional>
-#include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "admit/incremental.hpp"
@@ -37,77 +33,45 @@
 
 namespace pap::core {
 
-enum class AdmissionEngine {
-  kBatch,        ///< full re-proof per decision (the oracle)
-  kIncremental,  ///< dirty-component re-proof (admit::IncrementalAdmission)
-};
+/// One engine; the enum is kept because perfbench/ names it.
+enum class AdmissionEngine { kIncremental };
 
 class AdmissionController {
  public:
-  explicit AdmissionController(PlatformModel model,
-                               AdmissionEngine engine = AdmissionEngine::kBatch);
+  explicit AdmissionController(
+      PlatformModel model, AdmissionEngine = AdmissionEngine::kIncremental)
+      : engine_(std::move(model)) {}
 
   /// Try to admit `req`. On success the grant is recorded and returned;
   /// on failure the error names the application whose guarantee would
   /// break (possibly the newcomer itself).
-  Expected<AdmissionGrant> request(const AppRequirement& req);
+  Expected<AdmissionGrant> request(const AppRequirement& req) {
+    return engine_.request(req);
+  }
 
   /// Release a previously admitted application (terMsg processing).
-  Status release(noc::AppId app);
+  Status release(noc::AppId app) { return engine_.release(app); }
 
-  /// Bound of an admitted app under the current mix — the value the last
-  /// full analysis proved, served from the decision cache (no re-analysis).
-  std::optional<Time> current_bound(noc::AppId app) const;
-
-  /// Admitted applications in admission order. O(1) on the batch engine;
-  /// the incremental engine gathers its resident state on each call.
-  const std::vector<AppRequirement>& admitted() const;
-
-  const E2eAnalysis& analysis() const {
-    return incremental_ ? incremental_->analysis() : analysis_;
+  /// Bound of an admitted app under the current mix, served from the
+  /// engine's cache (no re-analysis).
+  std::optional<Time> current_bound(noc::AppId app) const {
+    return engine_.current_bound(app);
   }
 
-  AdmissionEngine engine() const {
-    return incremental_ ? AdmissionEngine::kIncremental
-                        : AdmissionEngine::kBatch;
-  }
+  /// Admitted applications in admission order. O(admitted).
+  std::vector<AppRequirement> admitted() const { return engine_.flows(); }
 
-  /// The incremental engine, for stats introspection; null on kBatch.
-  const admit::IncrementalAdmission* incremental() const {
-    return incremental_.get();
-  }
+  /// Kept because perfbench/ reads the engine's stats through it; never null.
+  const admit::IncrementalAdmission* incremental() const { return &engine_; }
 
-  /// Number of currently admitted applications. O(1) on both engines.
-  std::size_t size() const {
-    return incremental_ ? incremental_->size() : admitted_.size();
-  }
+  /// Number of currently admitted applications. O(1).
+  std::size_t size() const { return engine_.size(); }
 
-  std::uint64_t admissions() const {
-    return incremental_ ? incremental_->stats().admissions : admissions_;
-  }
-  std::uint64_t rejections() const {
-    return incremental_ ? incremental_->stats().rejections : rejections_;
-  }
+  std::uint64_t admissions() const { return engine_.stats().admissions; }
+  std::uint64_t rejections() const { return engine_.stats().rejections; }
 
  private:
-  E2eAnalysis analysis_;
-  std::unique_ptr<admit::IncrementalAdmission> incremental_;  // kIncremental
-  std::vector<AppRequirement> admitted_;
-  /// App-id -> position in admitted_, so duplicate checks, release and
-  /// current_bound never scan the admitted vector.
-  std::unordered_map<noc::AppId, std::size_t> index_;
-  /// Bounds of admitted_ under the current mix: the tentative bounds of
-  /// the last successful admission, refreshed on release. Parallel to
-  /// admitted_.
-  std::vector<std::optional<Time>> admitted_bounds_;
-  /// Decision scratch, reused across request() calls so a warm controller
-  /// allocates nothing per decision (the analysis itself runs on the
-  /// calling thread's nc::Arena — see E2eAnalysis::e2e_bounds_into).
-  std::vector<AppRequirement> tentative_;
-  std::vector<std::optional<Time>> bounds_;
-  mutable std::vector<AppRequirement> gathered_;  // admitted() on kIncremental
-  std::uint64_t admissions_ = 0;
-  std::uint64_t rejections_ = 0;
+  admit::IncrementalAdmission engine_;
 };
 
 }  // namespace pap::core

@@ -58,13 +58,8 @@ HandlerOutcome SessionRegistry::open(const exp::Params& params) {
   const std::string engine = r.get_string("engine", "incremental");
   r.finish();
   if (r.failed()) return bad(r.error());
-  core::AdmissionEngine kind;
-  if (engine == "incremental") {
-    kind = core::AdmissionEngine::kIncremental;
-  } else if (engine == "batch") {
-    kind = core::AdmissionEngine::kBatch;
-  } else {
-    return bad("'engine' must be \"incremental\" or \"batch\"");
+  if (engine != "incremental") {
+    return bad("'engine' must be \"incremental\"");
   }
 
   core::PlatformModel model;
@@ -81,7 +76,7 @@ HandlerOutcome SessionRegistry::open(const exp::Params& params) {
               " open); close one first");
     }
     id = next_id_++;
-    sessions_.emplace(id, std::make_shared<Session>(std::move(model), kind));
+    sessions_.emplace(id, std::make_shared<Session>(std::move(model)));
   }
 
   exp::Result out("admission_open");
@@ -119,12 +114,12 @@ HandlerOutcome SessionRegistry::admit(const exp::Params& params) {
   if (!session) return bad("unknown session " + std::to_string(sid));
   std::lock_guard<std::mutex> lock(session->mu);
 
-  const auto& noc = session->controller.analysis().model().noc;
+  const auto& noc = session->engine.analysis().model().noc;
   if (sx >= noc.cols || dx >= noc.cols || sy >= noc.rows || dy >= noc.rows) {
     return bad("src/dst outside the session's " + std::to_string(noc.cols) +
                "x" + std::to_string(noc.rows) + " mesh");
   }
-  if (session->controller.size() >=
+  if (session->engine.size() >=
       static_cast<std::size_t>(limits_.max_session_flows)) {
     return HandlerOutcome::fail(
         ErrorCode::kOverloaded,
@@ -144,7 +139,7 @@ HandlerOutcome SessionRegistry::admit(const exp::Params& params) {
   if (order == "yx") a.route_order = noc::Mesh2D::RouteOrder::kYX;
 
   ++session->decisions;
-  const auto grant = session->controller.request(a);
+  const auto grant = session->engine.request(a);
 
   exp::Result out("admission_admit");
   out.add("app", app_id);
@@ -178,7 +173,7 @@ HandlerOutcome SessionRegistry::release(const exp::Params& params) {
 
   ++session->decisions;
   const Status s =
-      session->controller.release(static_cast<noc::AppId>(app_id));
+      session->engine.release(static_cast<noc::AppId>(app_id));
 
   exp::Result out("admission_release");
   out.add("app", app_id);
@@ -198,24 +193,19 @@ HandlerOutcome SessionRegistry::stats(const exp::Params& params) {
   if (!session) return bad("unknown session " + std::to_string(sid));
   std::lock_guard<std::mutex> lock(session->mu);
 
-  const core::AdmissionController& ac = session->controller;
   exp::Result out("admission_stats");
-  out.add("engine", ac.engine() == core::AdmissionEngine::kIncremental
-                        ? std::string("incremental")
-                        : std::string("batch"));
-  out.add("flows", static_cast<std::int64_t>(ac.size()));
+  const auto s = session->engine.stats();
+  out.add("engine", std::string("incremental"));
+  out.add("flows", static_cast<std::int64_t>(s.live_flows));
   out.add("decisions", static_cast<std::int64_t>(session->decisions));
-  out.add("admissions", static_cast<std::int64_t>(ac.admissions()));
-  out.add("rejections", static_cast<std::int64_t>(ac.rejections()));
-  if (const auto* inc = ac.incremental()) {
-    const auto s = inc->stats();
-    out.add("releases", static_cast<std::int64_t>(s.releases));
-    out.add("live_links", static_cast<std::int64_t>(s.live_links));
-    out.add("dirty_flows_total", static_cast<std::int64_t>(s.dirty_flows_total));
-    out.add("dirty_links_total", static_cast<std::int64_t>(s.dirty_links_total));
-    out.add("last_dirty_flows", static_cast<std::int64_t>(s.last_dirty_flows));
-    out.add("last_dirty_links", static_cast<std::int64_t>(s.last_dirty_links));
-  }
+  out.add("admissions", static_cast<std::int64_t>(s.admissions));
+  out.add("rejections", static_cast<std::int64_t>(s.rejections));
+  out.add("releases", static_cast<std::int64_t>(s.releases));
+  out.add("live_links", static_cast<std::int64_t>(s.live_links));
+  out.add("dirty_flows_total", static_cast<std::int64_t>(s.dirty_flows_total));
+  out.add("dirty_links_total", static_cast<std::int64_t>(s.dirty_links_total));
+  out.add("last_dirty_flows", static_cast<std::int64_t>(s.last_dirty_flows));
+  out.add("last_dirty_links", static_cast<std::int64_t>(s.last_dirty_links));
   return HandlerOutcome::success(std::move(out));
 }
 

@@ -2,10 +2,10 @@
 // admission engine (docs/admission.md).
 //
 // The stateless endpoints re-prove a whole flow set per request; an
-// admission *session* keeps one core::AdmissionController resident between
-// requests, so each admit/release pays only the engine's dirty-set work —
-// the serving shape for the paper's resource-manager loop, where clients
-// arrive and leave one at a time against standing platform state.
+// admission *session* keeps one admit::IncrementalAdmission resident
+// between requests, so each admit/release pays only the engine's dirty-set
+// work — the serving shape for the paper's resource-manager loop, where
+// clients arrive and leave one at a time against standing platform state.
 //
 // Session ops are deliberately OUTSIDE the service's cache/coalescing
 // machinery: two byte-identical `admission_admit` requests are *different*
@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "core/admission.hpp"
+#include "admit/incremental.hpp"
 #include "serve/handlers.hpp"
 
 namespace pap::serve {
@@ -58,11 +58,10 @@ class SessionRegistry {
  private:
   struct Session {
     std::mutex mu;
-    core::AdmissionController controller;
+    admit::IncrementalAdmission engine;
     std::uint64_t decisions = 0;  // admit + release calls
 
-    Session(core::PlatformModel model, core::AdmissionEngine engine)
-        : controller(std::move(model), engine) {}
+    explicit Session(core::PlatformModel model) : engine(std::move(model)) {}
   };
 
   HandlerOutcome open(const exp::Params& params);

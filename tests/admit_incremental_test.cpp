@@ -12,6 +12,7 @@
 
 #include "admit/incremental.hpp"
 #include "core/admission.hpp"
+#include "oracle/admission_reference.hpp"
 
 namespace pap {
 namespace {
@@ -50,11 +51,11 @@ struct ChurnConfig {
   int full_check_every = 97;  ///< compare every live bound this often
 };
 
-/// Drives the batch controller (the oracle) and the incremental engine in
+/// Drives the batch oracle and the incremental engine in
 /// lockstep and asserts identical behaviour at every step.
 void run_lockstep(const ChurnConfig& cfg, std::uint64_t* admitted_out = nullptr,
                   std::uint64_t* flipped_out = nullptr) {
-  core::AdmissionController batch(model(cfg.cols, cfg.rows));
+  core::reference::BatchAdmission batch(model(cfg.cols, cfg.rows));
   admit::IncrementalAdmission inc(model(cfg.cols, cfg.rows));
   std::mt19937 rng(cfg.seed);
   std::uniform_real_distribution<double> burst(cfg.burst_lo, cfg.burst_hi);
@@ -243,7 +244,7 @@ TEST(AdmitIncremental, DirtySetStaysLocal) {
 }
 
 TEST(AdmitIncremental, DuplicateAndUnknownAppsMatchOracle) {
-  core::AdmissionController batch(model(4, 4));
+  core::reference::BatchAdmission batch(model(4, 4));
   admit::IncrementalAdmission inc(model(4, 4));
   const auto r = app(1, 2, 0.001, 0, 3, Time::us(10));
   ASSERT_TRUE(batch.request(r).has_value());
@@ -261,7 +262,6 @@ TEST(AdmitIncremental, DuplicateAndUnknownAppsMatchOracle) {
 
 TEST(AdmitIncremental, ControllerFacadeSelectsEngine) {
   core::AdmissionController ac(model(4, 4), core::AdmissionEngine::kIncremental);
-  EXPECT_EQ(ac.engine(), core::AdmissionEngine::kIncremental);
   ASSERT_NE(ac.incremental(), nullptr);
   const auto grant = ac.request(app(1, 2, 0.001, 0, 3, Time::us(10)));
   ASSERT_TRUE(grant.has_value());

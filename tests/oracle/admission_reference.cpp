@@ -1,21 +1,11 @@
-#include "core/admission.hpp"
+#include "oracle/admission_reference.hpp"
 
-#include <algorithm>
+#include <string>
+#include <utility>
 
-namespace pap::core {
+namespace pap::core::reference {
 
-AdmissionController::AdmissionController(PlatformModel model,
-                                         AdmissionEngine engine)
-    : analysis_(model) {
-  if (engine == AdmissionEngine::kIncremental) {
-    incremental_ = std::make_unique<admit::IncrementalAdmission>(std::move(model));
-  }
-}
-
-Expected<AdmissionGrant> AdmissionController::request(
-    const AppRequirement& req) {
-  if (incremental_) return incremental_->request(req);
-
+Expected<AdmissionGrant> BatchAdmission::request(const AppRequirement& req) {
   if (index_.count(req.app) != 0) {
     ++rejections_;
     return Expected<AdmissionGrant>::error("app " + std::to_string(req.app) +
@@ -38,9 +28,6 @@ Expected<AdmissionGrant> AdmissionController::request(
     tentative_.push_back(candidate);
 
     // Every application — existing and new — must keep a proven bound.
-    // One batched pass: the burst-propagation fixpoint is shared across
-    // all flows instead of being recomputed per application, and the
-    // analysis runs on this thread's arena with reused output storage.
     analysis_.e2e_bounds_into(tentative_, &bounds_);
     std::string error;
     for (std::size_t i = 0; i < tentative_.size(); ++i) {
@@ -62,9 +49,7 @@ Expected<AdmissionGrant> AdmissionController::request(
       continue;
     }
 
-    // Swap (not move) so the old buffers become next decision's scratch
-    // instead of being freed; the tentative bounds are exactly the new
-    // mix's bounds, so they become the decision cache.
+    // The tentative bounds are exactly the new mix's bounds.
     std::swap(admitted_, tentative_);
     std::swap(admitted_bounds_, bounds_);
     index_.emplace(req.app, admitted_.size() - 1);
@@ -81,9 +66,7 @@ Expected<AdmissionGrant> AdmissionController::request(
                                          " (alternate route also fails)");
 }
 
-Status AdmissionController::release(noc::AppId app) {
-  if (incremental_) return incremental_->release(app);
-
+Status BatchAdmission::release(noc::AppId app) {
   const auto it = index_.find(app);
   if (it == index_.end()) {
     return Status::error("app " + std::to_string(app) + " not admitted");
@@ -94,26 +77,16 @@ Status AdmissionController::release(noc::AppId app) {
   for (auto& [a, p] : index_) {
     if (p > pos) --p;
   }
-  // Refresh the cached bounds under the shrunken mix so current_bound
-  // reflects the freed capacity immediately.
+  // Refresh the cached bounds under the shrunken mix.
   analysis_.e2e_bounds_into(admitted_, &bounds_);
   std::swap(admitted_bounds_, bounds_);
   return Status::ok();
 }
 
-std::optional<Time> AdmissionController::current_bound(noc::AppId app) const {
-  if (incremental_) return incremental_->current_bound(app);
+std::optional<Time> BatchAdmission::current_bound(noc::AppId app) const {
   const auto it = index_.find(app);
   if (it == index_.end()) return std::nullopt;
   return admitted_bounds_[it->second];
 }
 
-const std::vector<AppRequirement>& AdmissionController::admitted() const {
-  if (incremental_) {
-    gathered_ = incremental_->flows();
-    return gathered_;
-  }
-  return admitted_;
-}
-
-}  // namespace pap::core
+}  // namespace pap::core::reference

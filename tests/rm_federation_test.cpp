@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "admit/incremental.hpp"
-#include "core/admission.hpp"
+#include "oracle/admission_reference.hpp"
 #include "rm/federation.hpp"
 
 namespace pap {
@@ -112,12 +112,12 @@ TEST(RmFederation, ReleaseRoutesToOwningEngine) {
 }
 
 // Seeded churn over contract-conforming traffic: federated vs one global
-// incremental engine vs the batch controller, compared decision by
+// incremental engine vs the batch oracle, compared decision by
 // decision and bound by bound (ps-exact).
 TEST(RmFederation, ChurnMatchesGlobalEngineAndBatchOracle) {
   rm::FederatedAdmission fed(model(), spine_clusters());
   admit::IncrementalAdmission global(model());
-  core::AdmissionController batch(model());
+  core::reference::BatchAdmission batch(model());
   noc::Mesh2D mesh(kCols, kRows);
   std::mt19937 rng(71);
   std::uniform_real_distribution<double> burst(1.0, 4.0);

@@ -3,8 +3,8 @@
 // The load-bearing properties: session ops bypass every caching tier (two
 // byte-identical admit requests are different decisions against evolving
 // state), replies are deterministic functions of the session history, the
-// incremental and batch engines answer identically through the service
-// door, and the caps in HandlerLimits turn into typed overload replies
+// session's decisions through the service door match the batch oracle's,
+// and the caps in HandlerLimits turn into typed overload replies
 // rather than unbounded state.
 
 #include <gtest/gtest.h>
@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "noc/topology.hpp"
+#include "oracle/admission_reference.hpp"
 #include "serve/service.hpp"
 #include "serve/sessions.hpp"
 
@@ -31,12 +33,6 @@ std::string admit_params(int session, int app, double rate, int sx, int sy,
          std::to_string(sx) + ",\"src_y\":" + std::to_string(sy) +
          ",\"dst_x\":" + std::to_string(dx) + ",\"dst_y\":" +
          std::to_string(dy) + ",\"deadline_ns\":" + std::to_string(deadline_ns);
-}
-
-/// The reply minus its id, for byte-comparing answers across requests.
-std::string payload_of(const std::string& reply) {
-  const auto at = reply.find(",\"ok\"");
-  return at == std::string::npos ? reply : reply.substr(at);
 }
 
 std::uint64_t counter(const AnalysisService& svc, const std::string& name) {
@@ -111,40 +107,83 @@ TEST(ServeSession, IncrementalAndBatchEnginesAnswerByteIdentically) {
   cfg.workers = 1;
   AnalysisService svc(cfg);
   (void)svc.handle(line(1, "admission_open", "\"engine\":\"incremental\""));
-  (void)svc.handle(line(2, "admission_open", "\"engine\":\"batch\""));
+  // papd serves only the incremental engine; batch is a test-only oracle.
+  const std::string batch_open =
+      svc.handle(line(2, "admission_open", "\"engine\":\"batch\""));
+  EXPECT_NE(batch_open.find("\"code\":\"bad_request\""), batch_open.npos)
+      << batch_open;
+  EXPECT_NE(batch_open.find("'engine' must be \\\"incremental\\\""),
+            batch_open.npos)
+      << batch_open;
 
   // A deterministic mix of admits (some duplicates, some saturating) and
-  // releases, driven into both sessions; every reply must match bytes.
+  // releases, driven into the session and into the batch oracle; every
+  // reply must carry the oracle's decision, bound and reason.
+  core::PlatformModel model;
+  model.noc.cols = 4;
+  model.noc.rows = 4;
+  core::reference::BatchAdmission oracle(model);
+  noc::Mesh2D mesh(4, 4);
   std::uint32_t lcg = 1234567u;
   auto next = [&lcg] { return lcg = lcg * 1664525u + 1013904223u; };
   for (int i = 0; i < 60; ++i) {
     const int app = 1 + static_cast<int>(next() % 12);
-    std::string a;
-    std::string b;
     if (next() % 4 == 0) {
-      a = svc.handle(line(100 + i, "admission_release",
-                          "\"session\":1,\"app\":" + std::to_string(app)));
-      b = svc.handle(line(200 + i, "admission_release",
-                          "\"session\":2,\"app\":" + std::to_string(app)));
-    } else {
-      const double rate = 0.005 + 0.005 * static_cast<double>(next() % 10);
-      const int sx = static_cast<int>(next() % 4);
-      const int sy = static_cast<int>(next() % 4);
-      const int dx = static_cast<int>(next() % 4);
-      const int dy = static_cast<int>(next() % 4);
-      const std::string pa = admit_params(1, app, rate, sx, sy, dx, dy, 900.0);
-      const std::string pb = admit_params(2, app, rate, sx, sy, dx, dy, 900.0);
-      a = svc.handle(line(100 + i, "admission_admit", pa));
-      b = svc.handle(line(200 + i, "admission_admit", pb));
+      const std::string a = svc.handle(
+          line(100 + i, "admission_release",
+               "\"session\":1,\"app\":" + std::to_string(app)));
+      const Status want = oracle.release(static_cast<noc::AppId>(app));
+      EXPECT_NE(a.find(want.is_ok() ? "\"released\":true"
+                                    : "\"released\":false"),
+                a.npos)
+          << "decision " << i << ": " << a;
+      if (!want.is_ok()) {
+        EXPECT_NE(a.find("\"reason\":" + exp::Value{want.message()}.json()),
+                  a.npos)
+            << "decision " << i << ": " << a;
+      }
+      continue;
     }
-    ASSERT_EQ(payload_of(a), payload_of(b)) << "decision " << i;
+    const double rate = 0.005 + 0.005 * static_cast<double>(next() % 10);
+    const int sx = static_cast<int>(next() % 4);
+    const int sy = static_cast<int>(next() % 4);
+    const int dx = static_cast<int>(next() % 4);
+    const int dy = static_cast<int>(next() % 4);
+    const std::string a = svc.handle(line(
+        100 + i, "admission_admit",
+        admit_params(1, app, rate, sx, sy, dx, dy, 900.0)));
+    // The request exactly as the session builds it from those params.
+    core::AppRequirement req;
+    req.app = static_cast<noc::AppId>(app);
+    req.name = "app" + std::to_string(app);
+    req.traffic = nc::TokenBucket{1.0, std::stod(std::to_string(rate))};
+    req.src = mesh.node(sx, sy);
+    req.dst = mesh.node(dx, dy);
+    req.deadline = Time::from_ns(900.0);
+    req.uses_dram = false;
+    const auto want = oracle.request(req);
+    if (want) {
+      EXPECT_NE(a.find("\"admitted\":true"), a.npos)
+          << "decision " << i << ": " << a;
+      EXPECT_NE(
+          a.find("\"bound\":" + exp::Value{want.value().e2e_bound}.json()),
+          a.npos)
+          << "decision " << i << ": " << a;
+    } else {
+      EXPECT_NE(a.find("\"admitted\":false"), a.npos)
+          << "decision " << i << ": " << a;
+      const std::string reason = exp::Value{want.error_message()}.json();
+      EXPECT_NE(a.find("\"reason\":" + reason), a.npos)
+          << "decision " << i << ": " << a;
+    }
   }
-  // Both engines saw real traffic, not just rejections.
+  // The session saw real traffic, not just rejections.
   const std::string sa = svc.handle(line(901, "admission_stats", "\"session\":1"));
-  const std::string sb = svc.handle(line(902, "admission_stats", "\"session\":2"));
   EXPECT_NE(sa.find("\"engine\":\"incremental\""), sa.npos) << sa;
-  EXPECT_NE(sb.find("\"engine\":\"batch\""), sb.npos) << sb;
   EXPECT_EQ(sa.find("\"admissions\":0"), sa.npos) << sa;
+  EXPECT_NE(sa.find("\"admissions\":" + std::to_string(oracle.admissions())),
+            sa.npos)
+      << sa;
 }
 
 TEST(ServeSession, CapsComeBackAsTypedOverloads) {
@@ -189,7 +228,7 @@ TEST(ServeSession, ParametersAreStrictlyValidated) {
 
   const std::string bad_engine =
       svc.handle(line(2, "admission_open", "\"engine\":\"oracle\""));
-  EXPECT_NE(bad_engine.find("must be \\\"incremental\\\" or \\\"batch\\\""),
+  EXPECT_NE(bad_engine.find("'engine' must be \\\"incremental\\\""),
             bad_engine.npos)
       << bad_engine;
 
