@@ -19,7 +19,12 @@
 //      hits, and the fleet must sustain >= 100k req/s aggregate;
 //   5. disk warm restart — a service restarted over the same --cache-dir
 //      must answer previously computed requests from the disk tier
-//      (disk_hits > 0) with exactly the bytes the first run produced.
+//      (disk_hits > 0) with exactly the bytes the first run produced;
+//   6. wire hot path — an in-process Server on a unix socket, driven the
+//      way pap_loadgen drives papd (2 connections x 8 pipelined requests,
+//      closed loop) over a warmed population: every reply an LRU hit
+//      answered on the reactor thread, byte-identical to in-process
+//      dispatch, reported as ns per reply.
 //
 // Results go to BENCH_serve.json in the pap-bench-v1 schema consumed by
 // tools/bench_compare.py; the committed baseline lives at the repo root
@@ -44,6 +49,7 @@
 #include "dram/wcd.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "serve/service.hpp"
 
 namespace {
@@ -116,11 +122,26 @@ BenchRow bench_admission_throughput() {
                   kRequests};
 }
 
+/// A compact single-app admission check, distinct per `k`: the hot
+/// population of the sharded-fleet and wire sections. Steady-state RM
+/// traffic repeats a bounded set of admission questions, and parse cost
+/// scales with line length, so the hot path measures serving overhead, not
+/// JSON length.
+std::string hot_admission_line(int k) {
+  return "{\"id\":" + std::to_string(k) +
+         ",\"op\":\"admission_check\",\"params\":{\"apps\":[{\"rate\":" +
+         std::to_string(0.01 + 0.001 * k) + "}]}}";
+}
+
 /// Section 2: a served wcd_bound reply carries exactly the offline bytes.
+/// The Table II sweep repeats for kRounds with the LRU off, so every
+/// iteration runs the analysis and the row rests on a few hundred samples.
 BenchRow bench_wcd_byte_identity() {
   ServiceConfig config;
   config.workers = 2;
+  config.cache_entries = 0;
   AnalysisService service(config);
+  constexpr int kRounds = 50;
 
   // The Table II configuration (bench/table2_wcd_bounds.cpp).
   const pap::dram::ControllerParams ctrl = pap::dram::ControllerConfig{}
@@ -133,12 +154,12 @@ BenchRow bench_wcd_byte_identity() {
   constexpr int kN = 13;
   const auto timings = pap::dram::ddr3_1600();
 
-  long long served = 0;
-  double total_ns = 0.0;
-  bool all_identical = true;
-  for (const double gbps : {0.5, 1.0, 2.0, 4.0, 5.0, 6.0, 6.5, 7.0, 7.2}) {
-    // Offline: the exact engine call and value rendering the batch bench
-    // uses for a Table II row.
+  // Offline: the exact engine call and value rendering the batch bench
+  // uses for a Table II row.
+  const std::vector<double> sweep = {0.5, 1.0, 2.0, 4.0, 5.0,
+                                     6.0, 6.5, 7.0, 7.2};
+  std::vector<std::string> offline_payload;
+  for (const double gbps : sweep) {
     const auto b = pap::dram::table2_row(timings, ctrl, gbps, kN);
     const auto bucket = pap::nc::TokenBucket::from_rate(
         pap::Rate::gbps(gbps), pap::kCacheLineBytes, 8.0);
@@ -152,24 +173,33 @@ BenchRow bench_wcd_byte_identity() {
         .add("converged", b.converged)
         .add("interference_utilization",
              pap::exp::Value{analysis.interference_utilization(), 6});
-    const std::string expect =
-        pap::serve::ok_reply(served, pap::serve::render_result(offline));
+    offline_payload.push_back(pap::serve::render_result(offline));
+  }
 
-    char line[160];
-    std::snprintf(line, sizeof line,
-                  "{\"id\": %lld, \"op\": \"wcd_bound\", "
-                  "\"params\": {\"write_gbps\": %.17g}}",
-                  served, gbps);
-    const auto t0 = Clock::now();
-    const std::string reply = service.handle(line);
-    total_ns += std::chrono::duration<double, std::nano>(Clock::now() - t0)
-                    .count();
-    if (reply != expect) {
-      all_identical = false;
-      std::printf("  mismatch at %.1f GB/s:\n    served  %s\n    offline %s\n",
-                  gbps, reply.c_str(), expect.c_str());
+  long long served = 0;
+  double total_ns = 0.0;
+  bool all_identical = true;
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      const std::string expect =
+          pap::serve::ok_reply(served, offline_payload[i]);
+      char line[160];
+      std::snprintf(line, sizeof line,
+                    "{\"id\": %lld, \"op\": \"wcd_bound\", "
+                    "\"params\": {\"write_gbps\": %.17g}}",
+                    served, sweep[i]);
+      const auto t0 = Clock::now();
+      const std::string reply = service.handle(line);
+      total_ns += std::chrono::duration<double, std::nano>(Clock::now() - t0)
+                      .count();
+      if (reply != expect) {
+        all_identical = false;
+        std::printf(
+            "  mismatch at %.1f GB/s:\n    served  %s\n    offline %s\n",
+            sweep[i], reply.c_str(), expect.c_str());
+      }
+      ++served;
     }
-    ++served;
   }
   check(all_identical,
         "wcd_bound replies byte-identical to offline table2_row rendering");
@@ -298,19 +328,14 @@ BenchRow bench_sharded_fleet() {
   AnalysisService reference(ref_cfg);
 
   // Warm phase: every key computed once on its home shard and once on the
-  // reference — replies must match byte for byte. The population is
-  // compact single-app admission checks: steady-state RM traffic repeats
-  // a bounded set of admission questions, and parse cost scales with line
-  // length, so the hot path measures serving overhead, not JSON length.
+  // reference — replies must match byte for byte.
   std::vector<std::string> lines(kKeys);
   std::vector<std::size_t> home(kKeys);
   std::vector<std::string> expect(kKeys);
   std::set<std::size_t> shards_used;
   bool identical = true;
   for (int k = 0; k < kKeys; ++k) {
-    lines[k] = "{\"id\":" + std::to_string(k) +
-               ",\"op\":\"admission_check\",\"params\":{\"apps\":[{\"rate\":" +
-               std::to_string(0.01 + 0.001 * k) + "}]}}";
+    lines[k] = hot_admission_line(k);
     const auto req = pap::serve::parse_request(lines[k]);
     home[k] = pap::serve::Client::route(req.value().key(), kShards);
     shards_used.insert(home[k]);
@@ -350,9 +375,8 @@ BenchRow bench_sharded_fleet() {
 
   long hits = 0;
   for (const auto& s : fleet) {
-    const auto entry =
-        s->counters().sample("serve", "admission_check/cache_hits");
-    if (entry) hits += static_cast<long>(entry->value);
+    hits +=
+        static_cast<long>(s->endpoint_count("admission_check", "cache_hits"));
   }
   std::printf("sharded fleet: %ld requests over %d keys x %zu shards, "
               "%.2f s, %.0f req/s aggregate, %ld cache hits\n",
@@ -409,9 +433,8 @@ BenchRow bench_disk_warm_restart() {
         std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
     if (reply != first[i]) identical = false;
   }
-  const auto entry =
-      restarted.counters().sample("serve", "wcd_bound/disk_hits");
-  const long disk_hits = entry ? static_cast<long>(entry->value) : 0;
+  const long disk_hits =
+      static_cast<long>(restarted.endpoint_count("wcd_bound", "disk_hits"));
 
   std::printf("disk warm restart: %zu requests, %ld disk hits\n",
               gbps.size(), disk_hits);
@@ -425,6 +448,88 @@ BenchRow bench_disk_warm_restart() {
   return BenchRow{"BM_ServeDiskWarmRestart",
                   total_ns / static_cast<double>(gbps.size()),
                   static_cast<long long>(gbps.size())};
+}
+
+/// Section 6: the wire path on LRU hits, per reply. One reactor answers
+/// every request inline (parse, LRU hit, reply write); the clients each
+/// keep kDepth requests in flight and check every reply against the
+/// in-process answer for the request it matches (all inline, so in order).
+BenchRow bench_wire_hot_pipelined() {
+  constexpr int kKeys = 64;
+  constexpr int kConnections = 2;
+  constexpr int kDepth = 8;
+  constexpr long kPerConnection = 120000;
+  constexpr long kReplies = kConnections * kPerConnection;
+
+  pap::serve::ServerConfig cfg;
+  cfg.unix_path =
+      "bench_serve_wire-" + std::to_string(::getpid()) + ".sock";
+  cfg.reactors = 1;
+  cfg.service.workers = 2;
+  pap::serve::Server server(cfg);
+  const pap::Status started = server.start();
+  check(started.is_ok(), "server starts on a unix socket");
+  if (!started) return BenchRow{"BM_ServeWireHotPipelined", 0.0, 0};
+
+  // Warm: the in-process answers, which also fill the server's LRU.
+  std::vector<std::string> lines(kKeys);
+  std::vector<std::string> expect(kKeys);
+  for (int k = 0; k < kKeys; ++k) {
+    lines[k] = hot_admission_line(k);
+    expect[k] = server.service().handle(lines[k]);
+  }
+  const std::uint64_t hits_before =
+      server.service().endpoint_count("admission_check", "cache_hits");
+
+  std::atomic<long> mismatches{0};
+  std::atomic<int> broken{0};
+  const auto t0 = Clock::now();
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConnections; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = pap::serve::Client::connect_unix(cfg.unix_path);
+      if (!client) {
+        broken.fetch_add(1);
+        return;
+      }
+      long sent = 0;
+      long got = 0;
+      while (got < kPerConnection) {
+        for (; sent < kPerConnection && sent - got < kDepth; ++sent) {
+          if (!client.value().send_line(lines[(c + sent) % kKeys])) {
+            broken.fetch_add(1);
+            return;
+          }
+        }
+        const auto reply = client.value().read_line();
+        if (!reply) {
+          broken.fetch_add(1);
+          return;
+        }
+        if (reply.value() != expect[(c + got) % kKeys]) mismatches.fetch_add(1);
+        ++got;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - t0).count();
+  const std::uint64_t hits =
+      server.service().endpoint_count("admission_check", "cache_hits") -
+      hits_before;
+  std::printf("wire hot pipelined: %ld replies, %d connections x depth %d, "
+              "%.2f s, %.0f replies/s, %.0f ns per reply\n",
+              kReplies, kConnections, kDepth, seconds,
+              static_cast<double>(kReplies) / seconds,
+              seconds * 1e9 / kReplies);
+  check(broken.load() == 0, "every connection completed its closed loop");
+  check(mismatches.load() == 0,
+        "wire replies byte-identical to in-process dispatch");
+  check(hits == static_cast<std::uint64_t>(kReplies),
+        "every timed request answered from the LRU");
+  check(server.stop(), "server drains and stops");
+  return BenchRow{"BM_ServeWireHotPipelined", seconds * 1e9 / kReplies,
+                  kReplies};
 }
 
 }  // namespace
@@ -450,6 +555,8 @@ int main(int argc, char** argv) {
   rows.push_back(bench_sharded_fleet());
   std::printf("== disk warm restart ==\n");
   rows.push_back(bench_disk_warm_restart());
+  std::printf("== wire hot path ==\n");
+  rows.push_back(bench_wire_hot_pipelined());
 
   const std::string report = out_dir + "/BENCH_serve.json";
   if (!pap::bench::write_bench_report(report, "serve", rows)) {

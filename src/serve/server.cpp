@@ -32,6 +32,11 @@ constexpr std::size_t kOutBufCap = 4u << 20;
 
 using SteadyClock = std::chrono::steady_clock;
 
+/// The connection this thread is ingesting right now (a reactor inside
+/// Server::ingest), else null. Replies produced inline for it are queued
+/// without a send; the reactor flushes the batch after its recv rounds.
+thread_local const void* t_ingesting = nullptr;
+
 }  // namespace
 
 /// One live connection. Reply closures hold a shared_ptr, so the socket
@@ -92,14 +97,14 @@ struct Server::Conn {
 
   enum class SendState { kFlushed, kPending, kDead };
 
-  /// Queue one reply line and push what the socket takes right now; never
-  /// blocks. kPending means bytes remain queued and the reactor must
-  /// finish the flush on EPOLLOUT. Appends under out_mu, so pipelined
+  /// Queue one reply line and, when `send`, push what the socket takes
+  /// right now; never blocks. kPending means bytes remain queued and the
+  /// reactor must finish the flush. Appends under out_mu, so pipelined
   /// replies from different threads never interleave mid-line. Overflow
   /// past kOutBufCap (or a dead peer) kills the connection: shutdown()
   /// makes the reactor reap it, so the client sees a closed socket, never
   /// a silent hole in its reply stream.
-  SendState enqueue(const std::string& reply) {
+  SendState enqueue(const std::string& reply, bool send) {
     std::lock_guard<std::mutex> lock(out_mu);
     if (dead) return SendState::kDead;
     if (!has_pending_locked()) last_progress = SteadyClock::now();
@@ -109,7 +114,7 @@ struct Server::Conn {
       dead = true;
       out.clear();
       out_off = 0;
-    } else {
+    } else if (send) {
       flush_locked();
     }
     if (dead) {
@@ -257,13 +262,14 @@ class Server::Reactor {
   void on_readable(const std::shared_ptr<Conn>& conn) {
     char buf[16 * 1024];
     // Level-triggered: bounded rounds per event keep one firehose
-    // connection from starving its reactor siblings; epoll re-fires for
-    // whatever is left.
+    // connection from starving its reactor siblings, and a short read
+    // means the socket is drained — epoll re-fires for whatever is left
+    // or arrives later, so no trailing recv() just to see EAGAIN.
     for (int round = 0; round < 4; ++round) {
       const ssize_t n = ::recv(conn->fd, buf, sizeof buf, 0);
       if (n < 0) {
         if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         kill(conn);
         return;
       }
@@ -272,8 +278,10 @@ class Server::Reactor {
         return;
       }
       server_->ingest(conn, buf, static_cast<std::size_t>(n));
-      if (conns_.find(conn->fd) == conns_.end()) return;  // killed by ingest
+      if (static_cast<std::size_t>(n) < sizeof buf) break;
     }
+    // One send for every reply ingest produced inline this event.
+    try_flush(conn);
   }
 
   /// The peer finished sending. The connection stays parked — readable
@@ -285,6 +293,7 @@ class Server::Reactor {
     bool dead = false;
     {
       std::lock_guard<std::mutex> lock(conn->out_mu);
+      conn->flush_locked();  // inline replies batched by earlier rounds
       pending = conn->has_pending_locked();
       dead = conn->dead;
     }
@@ -540,7 +549,11 @@ void Server::accept_loop(int listen_fd) {
 
 void Server::deliver(const std::shared_ptr<Conn>& conn,
                      const std::string& reply) {
-  if (conn->enqueue(reply) == Conn::SendState::kPending) {
+  // An inline reply for the connection this reactor is ingesting only
+  // queues: the reactor flushes the whole batch after its recv rounds.
+  const bool batched = t_ingesting == conn.get();
+  if (conn->enqueue(reply, !batched) == Conn::SendState::kPending &&
+      !batched) {
     // The socket would not take everything; the conn's reactor finishes
     // the flush on EPOLLOUT (and enforces the write-stall bound).
     if (auto reactor = conn->reactor.lock()) reactor->request_flush(conn);
@@ -551,6 +564,7 @@ void Server::ingest(const std::shared_ptr<Conn>& conn, const char* buf,
                     std::size_t len) {
   // A line longer than the parse limit can never become a valid request;
   // reply once and discard bytes until its newline instead of buffering.
+  t_ingesting = conn.get();
   std::string& pending = conn->pending;
   std::size_t start = 0;
   for (std::size_t i = 0; i < len; ++i) {
@@ -590,6 +604,7 @@ void Server::ingest(const std::shared_ptr<Conn>& conn, const char* buf,
       conn->discarding = true;
     }
   }
+  t_ingesting = nullptr;
 }
 
 bool Server::stop() {

@@ -15,16 +15,20 @@
 // Each connection owns a read buffer (the partial line accumulated across
 // recv()s, with the oversized-line discard: a line past the parse limit
 // costs one parse_error reply and the rest of the line is dropped, not
-// buffered) and an outbound buffer. Every reply — computed on a worker,
-// or produced inline on the reactor thread (cache hits, parse errors,
-// overload) — is appended to the connection's outbound buffer and pushed
-// with a nonblocking send under a short lock; nothing, on any thread,
-// ever sleeps waiting for a socket to accept bytes. When the kernel
-// buffer is full the leftover stays queued and the connection's reactor
-// finishes the flush on EPOLLOUT. A peer that accepts no bytes for
-// `write_stall`, or lets its outbound buffer grow past a hard cap, is
-// disconnected outright — never left open with a silently dropped reply,
-// which would permanently desync a pipelined client's request/reply
+// buffered) and an outbound buffer. Every reply is appended to the
+// connection's outbound buffer under a short lock. Replies produced inline
+// on the reactor thread (cache hits, parse errors, overload) are batched
+// per readable event: they only queue while the reactor ingests the bytes
+// it read, and the reactor pushes the whole batch with one nonblocking
+// send after its recv rounds (and before parking a connection at EOF), so
+// a pipelined client gets its replies in one write instead of one each.
+// Replies computed on a worker are sent at once from the worker thread.
+// Nothing, on any thread, ever sleeps waiting for a socket to accept
+// bytes. When the kernel buffer is full the leftover stays queued and the
+// connection's reactor finishes the flush on EPOLLOUT. A peer that accepts
+// no bytes for `write_stall`, or lets its outbound buffer grow past a hard
+// cap, is disconnected outright — never left open with a silently dropped
+// reply, which would permanently desync a pipelined client's request/reply
 // matching. A slow client therefore costs its reactor nothing but a
 // bounded buffer, and its own connection at worst.
 //
@@ -102,7 +106,9 @@ class Server {
   void ingest(const std::shared_ptr<Conn>& conn, const char* buf,
               std::size_t len);
   /// Queue one reply on the connection and push what the socket will take
-  /// right now; never blocks. Callable from any thread.
+  /// right now; never blocks. Callable from any thread. An inline reply for
+  /// the connection this reactor is ingesting only queues; the reactor
+  /// flushes the batch after its recv rounds.
   void deliver(const std::shared_ptr<Conn>& conn, const std::string& reply);
   /// Close every bound listener (+ unlink the Unix socket file) and stop
   /// any reactors already running; returns `why` for tail-calling out of

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <list>
 #include <mutex>
@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 #include "nc/arena.hpp"
 #include "serve/diskcache.hpp"
+#include "serve/latency_record.hpp"
 #include "serve/sessions.hpp"
 
 namespace pap::serve {
@@ -72,16 +72,31 @@ class LruShard {
 
 constexpr std::size_t kShards = 16;
 
-/// Per-endpoint latency capture (wall time of accepted analysis replies,
-/// measured submit -> reply-dispatch). Counts live in the CounterRegistry;
-/// only the histogram needs its own lock.
-struct OpLatency {
+/// The per-endpoint counters of the `stats` payload, in its order.
+enum EndpointCount {
+  kRequests, kOk, kErrors, kCacheHits, kDiskHits, kCoalesced, kOverloaded,
+  kEndpointCounts
+};
+constexpr const char* kEndpointCountNames[kEndpointCounts] = {
+    "requests", "ok", "errors", "cache_hits", "disk_hits", "coalesced",
+    "overloaded"};
+
+/// Per-endpoint accounting, found once per request: lock-free counters,
+/// plus the latency record (wall time of accepted analysis replies,
+/// measured submit -> reply-dispatch) under its own lock.
+struct Endpoint {
+  std::array<std::atomic<std::uint64_t>, kEndpointCounts> counts{};
   std::mutex mu;
-  LatencyHistogram hist;  // wall latency carried as Time (ns resolution)
+  LatencyRecord latency;  // guarded by mu
+
+  void bump(EndpointCount c) {
+    counts[c].fetch_add(1, std::memory_order_relaxed);
+  }
 
   void record(double us) {
+    const Time sample = Time::from_ns(us * 1000.0);
     std::lock_guard<std::mutex> lock(mu);
-    hist.add(Time::from_ns(us * 1000.0));
+    latency.add(sample);
   }
 };
 
@@ -95,8 +110,8 @@ struct AnalysisService::State {
             ? 0
             : std::max<std::size_t>(1, cfg.cache_entries / kShards);
     for (auto& s : cache) s.set_capacity(per_shard);
-    for (const auto& op : analysis_ops()) latency[op];  // materialize keys
-    for (const auto& op : SessionRegistry::session_ops()) latency[op];
+    for (const auto& op : analysis_ops()) endpoints[op];  // materialize keys
+    for (const auto& op : SessionRegistry::session_ops()) endpoints[op];
   }
 
   struct Waiter {
@@ -108,6 +123,7 @@ struct AnalysisService::State {
   struct Job {
     std::string key;
     std::string op;
+    Endpoint* endpoint = nullptr;  // the op's entry in State::endpoints
     exp::Params params;
     std::vector<Waiter> waiters;  // guarded by State::mu
     /// Stateful session op: dispatched to the SessionRegistry with the
@@ -131,8 +147,8 @@ struct AnalysisService::State {
   SessionRegistry sessions;  // stateful admission sessions (thread-safe)
   trace::CounterRegistry counters;
   // Keys fixed at construction; the map itself is never mutated after, so
-  // lock-free lookup is safe and each OpLatency has its own mutex.
-  std::unordered_map<std::string, OpLatency> latency;
+  // lock-free lookup is safe, and entries never move.
+  std::unordered_map<std::string, Endpoint> endpoints;
 
   LruShard& shard_of(const std::string& key) {
     return cache[std::hash<std::string>{}(key) % kShards];
@@ -191,16 +207,17 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
     return;
   }
 
-  st.counters.add("serve", req.op + "/requests");
+  Endpoint& ep = st.endpoints.at(req.op);
+  ep.bump(kRequests);
   const std::string key = req.key();
 
   // Fast path: answered from the LRU on the submitting thread. Session ops
   // never take it — a repeat of the same request line is a new decision.
   if (!session_op && config_.cache_entries != 0) {
     if (auto hit = st.shard_of(key).get(key)) {
-      st.counters.add("serve", req.op + "/cache_hits");
-      st.counters.add("serve", req.op + "/ok");
-      st.latency.at(req.op).record(us_since(t0));
+      ep.bump(kCacheHits);
+      ep.bump(kOk);
+      ep.record(us_since(t0));
       reply(ok_reply(req.id, *hit));
       return;
     }
@@ -229,6 +246,7 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
         auto job = std::make_shared<State::Job>();
         job->key = key;
         job->op = req.op;
+        job->endpoint = &ep;
         job->params = std::move(req.params);
         job->session = true;
         job->waiters.push_back(State::Waiter{req.id, std::move(reply), t0});
@@ -243,7 +261,7 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
       st.inflight[key]->waiters.push_back(
           State::Waiter{req.id, std::move(reply), t0});
       lk.unlock();
-      st.counters.add("serve", req.op + "/coalesced");
+      ep.bump(kCoalesced);
       return;
     } else if (config_.cache_entries != 0 &&
                (late_hit = st.shard_of(key).get(key))) {
@@ -258,6 +276,7 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
       auto job = std::make_shared<State::Job>();
       job->key = key;
       job->op = req.op;
+      job->endpoint = &ep;
       job->params = std::move(req.params);
       job->waiters.push_back(State::Waiter{req.id, std::move(reply), t0});
       st.inflight[key] = job;
@@ -269,15 +288,15 @@ void AnalysisService::submit_request(Request req, ReplyFn reply,
     }
   }
   if (late_hit) {
-    st.counters.add("serve", req.op + "/cache_hits");
-    st.counters.add("serve", req.op + "/ok");
-    st.latency.at(req.op).record(us_since(t0));
+    ep.bump(kCacheHits);
+    ep.bump(kOk);
+    ep.record(us_since(t0));
     reply(ok_reply(req.id, *late_hit));
     return;
   }
   if (send_inline_error) {
     if (inline_error == ErrorCode::kOverloaded) {
-      st.counters.add("serve", req.op + "/overloaded");
+      ep.bump(kOverloaded);
       reply(error_reply(req.id, ErrorCode::kOverloaded,
                         "request queue is full (capacity " +
                             std::to_string(config_.queue_capacity) +
@@ -372,14 +391,15 @@ void AnalysisService::worker_loop(std::shared_ptr<State> state) {
       waiters = std::move(job->waiters);
     }
 
+    Endpoint& ep = *job->endpoint;
     for (auto& w : waiters) {
       if (ok) {
-        if (from_disk) st.counters.add("serve", job->op + "/disk_hits");
-        st.counters.add("serve", job->op + "/ok");
-        st.latency.at(job->op).record(us_since(w.t0));
+        if (from_disk) ep.bump(kDiskHits);
+        ep.bump(kOk);
+        ep.record(us_since(w.t0));
         w.reply(ok_reply(w.id, payload));
       } else {
-        st.counters.add("serve", job->op + "/errors");
+        ep.bump(kErrors);
         w.reply(error_reply(w.id, outcome.error.code, outcome.error.message));
       }
     }
@@ -428,6 +448,18 @@ const trace::CounterRegistry& AnalysisService::counters() const {
   return state_->counters;
 }
 
+std::uint64_t AnalysisService::endpoint_count(const std::string& op,
+                                              const std::string& name) const {
+  const auto it = state_->endpoints.find(op);
+  if (it == state_->endpoints.end()) return 0;
+  for (int c = 0; c < kEndpointCounts; ++c) {
+    if (name == kEndpointCountNames[c]) {
+      return it->second.counts[c].load(std::memory_order_relaxed);
+    }
+  }
+  return 0;
+}
+
 std::string AnalysisService::stats_json() const {
   State& st = *state_;
   std::size_t depth = 0;
@@ -453,31 +485,14 @@ std::string AnalysisService::stats_json() const {
     if (!first_op) out += ',';
     first_op = false;
     out += json_quote(op) + ":{";
-    const char* names[] = {"requests",   "ok",        "errors",    "cache_hits",
-                           "disk_hits",  "coalesced", "overloaded"};
-    bool first = true;
-    for (const char* n : names) {
-      if (!first) out += ',';
-      first = false;
-      const auto e = st.counters.sample("serve", op + "/" + n);
-      const auto v = e ? static_cast<std::uint64_t>(e->value) : 0u;
-      out += std::string("\"") + n + "\":" + std::to_string(v);
+    Endpoint& ep = st.endpoints.at(op);
+    for (int c = 0; c < kEndpointCounts; ++c) {
+      if (c > 0) out += ',';
+      out += std::string("\"") + kEndpointCountNames[c] + "\":" +
+             std::to_string(ep.counts[c].load(std::memory_order_relaxed));
     }
-    OpLatency& lat = st.latency.at(op);
-    std::lock_guard<std::mutex> lock(lat.mu);
-    out += ",\"latency_us\":{";
-    out += "\"count\":" + std::to_string(lat.hist.count());
-    if (!lat.hist.empty()) {
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    ",\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f,\"max\":%.1f",
-                    lat.hist.percentile(50).nanos() / 1000.0,
-                    lat.hist.percentile(95).nanos() / 1000.0,
-                    lat.hist.percentile(99).nanos() / 1000.0,
-                    lat.hist.max().nanos() / 1000.0);
-      out += buf;
-    }
-    out += "}}";
+    std::lock_guard<std::mutex> lock(ep.mu);
+    out += ",\"latency_us\":{" + ep.latency.json() + "}}";
   }
   out += "}}";
   return out;

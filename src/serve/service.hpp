@@ -102,9 +102,16 @@ class AnalysisService {
   /// may never be delivered).
   bool shutdown(std::chrono::milliseconds deadline);
 
-  /// Endpoint + service counters ("serve" component namespace). The
+  /// Service-level counters ("serve" component namespace:
+  /// service/parse_errors, service/bad_op, service/queue_depth). The
   /// registry is thread-safe; sampling it mid-flight is allowed.
   const trace::CounterRegistry& counters() const;
+
+  /// One per-endpoint counter of the `stats` payload ("requests", "ok",
+  /// "errors", "cache_hits", "disk_hits", "coalesced", "overloaded") for
+  /// `op`; 0 for an unknown op or name. Safe to call mid-flight.
+  std::uint64_t endpoint_count(const std::string& op,
+                               const std::string& name) const;
 
   /// One-line JSON stats snapshot (the `stats` endpoint's payload):
   /// per-endpoint request/ok/error/cache/coalesce counts and latency

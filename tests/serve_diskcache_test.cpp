@@ -152,9 +152,11 @@ std::string wcd_line(int id, double write_gbps) {
          std::to_string(write_gbps) + "}}";
 }
 
+/// Per-endpoint counter by "<op>/<name>".
 double counter(const AnalysisService& s, const std::string& name) {
-  const auto entry = s.counters().sample("serve", name);
-  return entry ? entry->value : 0.0;
+  const auto slash = name.find('/');
+  return static_cast<double>(
+      s.endpoint_count(name.substr(0, slash), name.substr(slash + 1)));
 }
 
 TEST_F(DiskCacheTest, ServiceServesFromDiskAcrossRestart) {

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "serve/client.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
 namespace pap::serve {
@@ -115,27 +117,130 @@ struct RawConn {
     }
   }
 
-  /// Read replies until the server closes the connection or the deadline
-  /// passes. Returns {complete reply lines seen, connection closed}.
-  std::pair<std::size_t, bool> drain(Clock::time_point deadline) {
+  /// Read until `want` reply lines have arrived, the server closes the
+  /// connection, or the deadline passes. Returns {bytes read, closed}.
+  std::pair<std::string, bool> collect(std::size_t want,
+                                       Clock::time_point deadline) {
+    std::string bytes;
     std::size_t lines = 0;
-    for (;;) {
+    while (lines < want) {
       char chunk[16 * 1024];
       const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
       if (n > 0) {
+        bytes.append(chunk, static_cast<std::size_t>(n));
         for (ssize_t i = 0; i < n; ++i) lines += chunk[i] == '\n';
         continue;
       }
-      if (n == 0) return {lines, true};
+      if (n == 0) return {bytes, true};
       if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
-        return {lines, true};  // reset: the peer observed a failure too
+        return {bytes, true};  // reset: the peer observed a failure too
       }
-      if (Clock::now() >= deadline) return {lines, false};
+      if (Clock::now() >= deadline) break;
       pollfd p{fd, POLLIN, 0};
       (void)::poll(&p, 1, 50);
     }
+    return {bytes, false};
   }
 };
+
+/// The complete '\n'-terminated lines of `bytes`; a trailing partial line
+/// goes to `*rest`.
+std::vector<std::string> split_lines(const std::string& bytes,
+                                     std::string* rest = nullptr) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = bytes.find('\n', start)) != bytes.npos;
+       start = nl + 1) {
+    lines.push_back(bytes.substr(start, nl - start));
+  }
+  if (rest) *rest = bytes.substr(start);
+  return lines;
+}
+
+/// Rates whose nc_delay answers a test puts in the server's LRU first.
+constexpr double kWarmRates[] = {1.1, 1.2, 1.3, 1.4};
+
+void warm_lru(const std::string& path) {
+  auto client = Client::connect_unix(path);
+  ASSERT_TRUE(client.has_value()) << client.error_message();
+  for (const double rate : kWarmRates) {
+    auto reply = client.value().call(nc_line(0, rate));
+    ASSERT_TRUE(reply.has_value()) << reply.error_message();
+  }
+}
+
+/// A pipelined burst for one connection and the replies it must get. The
+/// reactor answers LRU hits, parse errors and the oversized line inline,
+/// so those arrive in request order; misses are computed on workers and
+/// may land anywhere in between.
+struct Burst {
+  std::string bytes;  // every request line, '\n'-framed
+  std::size_t lines = 0;
+  std::vector<std::string> inline_replies;   // in request order
+  std::multiset<std::string> worker_replies;  // any order
+};
+
+Burst mixed_burst(AnalysisService& reference, std::size_t max_bytes) {
+  Burst b;
+  for (int i = 0; i < 320; ++i) {
+    std::string line;
+    std::string expect;
+    bool on_worker = false;
+    if (i == 161) {  // far past the limit and the 16 KiB recv buffer
+      line = R"({"id":1,"op":")" + std::string(64 * 1024, 'x') + "\"}";
+      expect = error_reply(0, ErrorCode::kParseError,
+                           "request line exceeds " +
+                               std::to_string(max_bytes) + " bytes");
+    } else if (i % 4 == 1) {  // a fresh key: computed on a worker
+      line = nc_line(100 + i, 0.3 + 0.001 * i);
+      on_worker = true;
+    } else if (i % 4 == 3) {
+      line = "not a request " + std::to_string(i);
+    } else {
+      line = nc_line(100 + i, kWarmRates[(i / 2) % 4]);
+    }
+    if (expect.empty()) expect = reference.handle(line);
+    if (on_worker) {
+      b.worker_replies.insert(expect);
+    } else {
+      b.inline_replies.push_back(expect);
+    }
+    b.bytes += line + "\n";
+    ++b.lines;
+  }
+  return b;
+}
+
+/// Every reply arrived once, byte-identical, and the inline ones in
+/// request order.
+void expect_burst_replies(const Burst& burst,
+                          const std::vector<std::string>& got) {
+  ASSERT_EQ(got.size(), burst.lines);
+  std::multiset<std::string> worker = burst.worker_replies;
+  std::vector<std::string> inline_seen;
+  for (const auto& reply : got) {
+    const auto it = worker.find(reply);
+    if (it != worker.end()) {
+      worker.erase(it);
+    } else {
+      inline_seen.push_back(reply);
+    }
+  }
+  EXPECT_TRUE(worker.empty()) << worker.size() << " worker replies missing";
+  ASSERT_EQ(inline_seen.size(), burst.inline_replies.size());
+  for (std::size_t i = 0; i < inline_seen.size(); ++i) {
+    ASSERT_EQ(inline_seen[i], burst.inline_replies[i]) << "inline reply " << i;
+  }
+}
+
+ServerConfig burst_config(const std::string& tag) {
+  ServerConfig cfg;
+  cfg.unix_path = test_socket_path(tag);
+  cfg.reactors = 1;
+  cfg.service.workers = 2;
+  cfg.service.parse.max_bytes = 1024;
+  return cfg;
+}
 
 TEST(Server, UnixSocketEndToEnd) {
   ServerConfig cfg;
@@ -358,11 +463,131 @@ TEST(Server, StalledPeerIsDisconnectedNotSilentlyDesynced) {
   // Whatever was already delivered can be read, and then the stream ends
   // with EOF/reset inside a bounded window — never an open socket with a
   // silent gap.
-  const auto [replies, closed] = conn.drain(Clock::now() + 10s);
+  const auto [bytes, closed] = conn.collect(
+      std::numeric_limits<std::size_t>::max(), Clock::now() + 10s);
+  const std::size_t replies = split_lines(bytes).size();
   EXPECT_TRUE(closed)
       << "stalled connection was left open after dropping replies";
   EXPECT_LT(replies, sent)
       << "every reply was delivered — the test never created a stall";
+  EXPECT_TRUE(server.stop());
+}
+
+// Inline replies are batched per readable event and flushed once after the
+// reactor's recv rounds: a pipelined burst mixing LRU hits, misses, parse
+// errors and an oversized line must still get every reply, byte-identical
+// to the in-process service, with the inline ones in request order.
+TEST(Server, PipelinedBurstGetsEveryReplyInlineOnesInOrder) {
+  const ServerConfig cfg = burst_config("burst");
+  Server server(cfg);
+  ASSERT_TRUE(server.start().is_ok());
+  warm_lru(cfg.unix_path);
+  AnalysisService reference(cfg.service);
+  const Burst burst = mixed_burst(reference, cfg.service.parse.max_bytes);
+
+  RawConn conn(cfg.unix_path);
+  ASSERT_GE(conn.fd, 0);
+  bool sent = false;
+  std::thread sender(
+      [&] { sent = conn.send_all(burst.bytes, Clock::now() + 10s); });
+  const auto [bytes, closed] = conn.collect(burst.lines, Clock::now() + 20s);
+  sender.join();
+  ASSERT_TRUE(sent);
+  EXPECT_FALSE(closed);
+  expect_burst_replies(burst, split_lines(bytes));
+
+  // Then hits alone: no worker reply is left to carry the batch out, so
+  // only the reactor's own flush after its recv rounds can deliver it.
+  std::string hits;
+  std::vector<std::string> want;
+  for (int i = 0; i < 64; ++i) {
+    const std::string line = nc_line(1000 + i, kWarmRates[i % 4]);
+    hits += line + "\n";
+    want.push_back(reference.handle(line));
+  }
+  ASSERT_TRUE(conn.send_all(hits, Clock::now() + 10s));
+  const auto [hit_bytes, hit_closed] =
+      conn.collect(want.size(), Clock::now() + 10s);
+  EXPECT_FALSE(hit_closed);
+  EXPECT_EQ(split_lines(hit_bytes), want);
+  EXPECT_TRUE(server.stop());
+}
+
+// The batch queued by the last recv rounds must be flushed before the EOF
+// path parks the connection: a burst followed at once by a half-close
+// still gets every reply, then a clean end of stream.
+TEST(Server, PipelinedBurstThenHalfCloseGetsEveryReply) {
+  const ServerConfig cfg = burst_config("burst-eof");
+  Server server(cfg);
+  ASSERT_TRUE(server.start().is_ok());
+  warm_lru(cfg.unix_path);
+  AnalysisService reference(cfg.service);
+  const Burst burst = mixed_burst(reference, cfg.service.parse.max_bytes);
+
+  RawConn conn(cfg.unix_path);
+  ASSERT_GE(conn.fd, 0);
+  bool sent = false;
+  std::thread sender([&] {
+    sent = conn.send_all(burst.bytes, Clock::now() + 10s);
+    ::shutdown(conn.fd, SHUT_WR);
+  });
+  const auto [bytes, closed] = conn.collect(
+      std::numeric_limits<std::size_t>::max(), Clock::now() + 20s);
+  sender.join();
+  ASSERT_TRUE(sent);
+  EXPECT_TRUE(closed) << "answered connection was not closed after EOF";
+  std::string rest;
+  expect_burst_replies(burst, split_lines(bytes, &rest));
+  EXPECT_EQ(rest, "");
+  EXPECT_TRUE(server.stop());
+}
+
+// A peer that pipelines LRU hits and never reads fills the outbound buffer
+// with batched inline replies; it must be disconnected once that passes
+// the hard cap (the stall bound is out of reach here), and everything it
+// did receive is its own replies in order — never a desynced stream.
+TEST(Server, PipelinedHitsWithoutReadingAreCutAtTheOutboundCap) {
+  ServerConfig cfg = burst_config("cap");
+  cfg.write_stall = std::chrono::milliseconds(60'000);
+  Server server(cfg);
+  ASSERT_TRUE(server.start().is_ok());
+  warm_lru(cfg.unix_path);
+  AnalysisService reference(cfg.service);
+
+  RawConn conn(cfg.unix_path);
+  ASSERT_GE(conn.fd, 0);
+  // Well past the 4 MiB cap in reply bytes, sent in batches until the
+  // server cuts the connection.
+  const auto line_of = [](int id) { return nc_line(id, kWarmRates[0]); };
+  int sent = 0;
+  bool cut = false;
+  const auto flood_deadline = Clock::now() + 30s;
+  while (sent < 200'000 && Clock::now() < flood_deadline) {
+    std::string batch;
+    for (int i = 0; i < 512; ++i) batch += line_of(sent + i) + "\n";
+    if (!conn.send_all(batch, flood_deadline)) {
+      cut = true;
+      break;
+    }
+    sent += 512;
+  }
+  ASSERT_TRUE(cut) << "server kept reading " << sent
+                   << " unread hit requests without cutting the connection";
+
+  const auto [bytes, closed] = conn.collect(
+      std::numeric_limits<std::size_t>::max(), Clock::now() + 20s);
+  EXPECT_TRUE(closed);
+  std::string rest;
+  const auto lines = split_lines(bytes, &rest);
+  EXPECT_LT(lines.size(), static_cast<std::size_t>(sent));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    ASSERT_EQ(lines[i], reference.handle(line_of(static_cast<int>(i))))
+        << "reply " << i << " out of step with its request";
+  }
+  const std::string next =
+      reference.handle(line_of(static_cast<int>(lines.size())));
+  EXPECT_EQ(next.compare(0, rest.size(), rest), 0)
+      << "trailing bytes are not the start of the next reply";
   EXPECT_TRUE(server.stop());
 }
 

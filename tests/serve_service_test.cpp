@@ -8,14 +8,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdio>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/stats.hpp"
+#include "serve/latency_record.hpp"
 #include "serve/service.hpp"
 
 namespace pap::serve {
@@ -66,9 +71,10 @@ std::string nc_line(int id, double rate) {
          "\"latency_ns\":50}}}";
 }
 
+/// Per-endpoint counter by "<op>/<name>".
 std::uint64_t counter(const AnalysisService& svc, const std::string& name) {
-  const auto e = svc.counters().sample("serve", name);
-  return e ? static_cast<std::uint64_t>(e->value) : 0u;
+  const auto slash = name.find('/');
+  return svc.endpoint_count(name.substr(0, slash), name.substr(slash + 1));
 }
 
 TEST(Service, AnswersEveryEndpointAndControlOp) {
@@ -489,6 +495,102 @@ TEST(Service, StatsJsonIsWellFormedAndCountsRequests) {
       << stats;
   EXPECT_NE(stats.find("\"service\":{\"workers\":4"), stats.npos) << stats;
   EXPECT_NE(stats.find("\"latency_us\":{\"count\":2"), stats.npos) << stats;
+}
+
+// The reference `latency_us` body: keep every sample, pick by nearest
+// rank, format with %.1f.
+std::string exact_latency_json(const LatencyHistogram& h) {
+  std::string out = "\"count\":" + std::to_string(h.count());
+  if (h.empty()) return out;
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                ",\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f,\"max\":%.1f",
+                h.percentile(50).nanos() / 1000.0,
+                h.percentile(95).nanos() / 1000.0,
+                h.percentile(99).nanos() / 1000.0, h.max().nanos() / 1000.0);
+  return out + buf;
+}
+
+std::string tenths_text(std::int64_t tenths) {
+  return std::to_string(tenths / 10) + "." + std::to_string(tenths % 10);
+}
+
+std::string printf_text(Time t) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%.1f", t.nanos() / 1000.0);
+  return buf;
+}
+
+/// Feeds the same samples to a LatencyRecord and an exact LatencyHistogram
+/// and checks every sample's bucket against printf as it goes.
+struct RecordPair {
+  LatencyRecord record;
+  LatencyHistogram exact;
+  std::size_t bucket_mismatches = 0;
+
+  void add(Time t) {
+    record.add(t);
+    exact.add(t);
+    if (tenths_text(LatencyRecord::tenths_us(t)) != printf_text(t)) {
+      if (++bucket_mismatches <= 5) {
+        ADD_FAILURE() << "sample " << t.picos() << " ps: record "
+                      << tenths_text(LatencyRecord::tenths_us(t))
+                      << ", printf " << printf_text(t);
+      }
+    }
+  }
+};
+
+TEST(LatencyRecord, StatsFiguresMatchTheExactHistogram) {
+  RecordPair pair;
+  EXPECT_EQ(pair.record.json(), exact_latency_json(pair.exact));
+
+  // Adversarial ties first, and small counts, where the nearest rank
+  // lands on every position in turn.
+  std::vector<Time> ties;
+  for (std::int64_t n = 0; n < 2000; ++n) {
+    ties.push_back(Time::ps(n * 1'000'000 + 250'000));  // n.25 us: exact
+    ties.push_back(Time::ps(n * 1'000'000 + 750'000));  // n.75 us: exact
+    ties.push_back(Time::ns(n * 100 + 50));             // ns ending in 50
+    ties.push_back(Time::ps(n * 100'000 + 50'000));     // x.x5 us in ps
+    ties.push_back(Time::ps(n * 100'000 + 49'999));
+    ties.push_back(Time::ps(n * 100'000 + 50'001));
+  }
+  for (std::int64_t s = 1; s <= 40; ++s) {  // latencies of seconds
+    ties.push_back(Time::sec(s) + Time::ns(50));
+    ties.push_back(Time::sec(s) + Time::ps(250'000));
+    ties.push_back(Time::sec(s) + Time::ps(750'000));
+    ties.push_back(Time::sec(s) + Time::ps(s * 7'919'131));
+  }
+  for (std::size_t i = 0; i < ties.size(); ++i) {
+    pair.add(ties[i]);
+    if (i < 64 || i % 997 == 0) {
+      ASSERT_EQ(pair.record.json(), exact_latency_json(pair.exact))
+          << "after " << i + 1 << " samples";
+    }
+  }
+
+  // A million random samples: the service's own us -> Time conversion,
+  // whole nanoseconds, and picoseconds log-spread from 1 ns to 10 s.
+  std::mt19937_64 rng(20261018);
+  std::uniform_real_distribution<double> us_dist(0.0, 500.0);
+  std::uniform_int_distribution<std::int64_t> ns_dist(0, 200'000);
+  std::uniform_real_distribution<double> log_ps(3.0, 13.0);
+  for (int i = 0; i < 1'000'000; ++i) {
+    switch (i % 3) {
+      case 0: pair.add(Time::from_ns(us_dist(rng) * 1000.0)); break;
+      case 1: pair.add(Time::ns(ns_dist(rng))); break;
+      default:
+        pair.add(Time::ps(static_cast<std::int64_t>(
+            std::pow(10.0, log_ps(rng)))));
+    }
+    if (i % 100'000 == 99'999) {
+      ASSERT_EQ(pair.record.json(), exact_latency_json(pair.exact))
+          << "after " << i + 1 << " random samples";
+    }
+  }
+  EXPECT_EQ(pair.bucket_mismatches, 0u);
+  EXPECT_EQ(pair.record.count(), pair.exact.count());
 }
 
 }  // namespace

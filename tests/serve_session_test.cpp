@@ -35,9 +35,10 @@ std::string admit_params(int session, int app, double rate, int sx, int sy,
          std::to_string(dy) + ",\"deadline_ns\":" + std::to_string(deadline_ns);
 }
 
+/// Per-endpoint counter by "<op>/<name>".
 std::uint64_t counter(const AnalysisService& svc, const std::string& name) {
-  const auto e = svc.counters().sample("serve", name);
-  return e ? static_cast<std::uint64_t>(e->value) : 0u;
+  const auto slash = name.find('/');
+  return svc.endpoint_count(name.substr(0, slash), name.substr(slash + 1));
 }
 
 TEST(ServeSession, LifecycleThroughTheService) {
