@@ -2,8 +2,8 @@
 // WCD bounding algorithm is "computationally inexpensive (milliseconds at
 // most), hence could also be done online if required (e.g., for admission
 // control)". These benches substantiate that claim for our implementation,
-// plus the NC primitives, papd's request parse and the DES kernel that
-// everything runs on.
+// plus the NC primitives, papd's request parse, the DES kernel that
+// everything runs on and whole simulator runs of seeded scenario families.
 //
 // Included by two binaries:
 //  * micro_nc_ops — plain BENCHMARK_MAIN() CLI for interactive use;
@@ -22,6 +22,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <optional>
@@ -36,6 +37,8 @@
 #include "nc/bounds.hpp"
 #include "nc/ops.hpp"
 #include "noc/topology.hpp"
+#include "scenario/generate.hpp"
+#include "scenario/run.hpp"
 #include "serve/protocol.hpp"
 #include "oracle/e2e_reference.hpp"
 #include "oracle/nc_reference.hpp"
@@ -459,5 +462,41 @@ inline void BM_KernelSameTimestampBurst(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelSameTimestampBurst);
+
+inline void BM_SimFamilyMix(benchmark::State& state) {
+  // Whole simulator runs through scenario::run_parsed over the member mix
+  // of the perfbench sim_families workload: one round of flash_crowd,
+  // diurnal, mode_storm and three hog_mix members, seed 1. The scenarios
+  // are generated once, outside the timed loop. ns_per_access is wall time
+  // per simulated memory access, the figure the simulator's hot path sets.
+  const char* const kCycle[] = {"flash_crowd", "diurnal", "mode_storm",
+                                "hog_mix",     "hog_mix", "hog_mix"};
+  std::vector<scenario::Scenario> members;
+  for (int i = 0; i < 6; ++i) {
+    const int index = i < 3 ? 0 : i - 3;
+    auto s = scenario::generate_scenario(kCycle[i], 1, index);
+    if (!s) {
+      state.SkipWithError(s.error_message().c_str());
+      return;
+    }
+    members.push_back(std::move(s).value());
+  }
+  double accesses = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    for (const auto& m : members) {
+      // Generated members are valid by construction: value() cannot throw.
+      const exp::Result r = scenario::run_parsed(m).value();
+      for (const char* k : {"rt_accesses", "hog_accesses", "trace_accesses"}) {
+        accesses += static_cast<double>(r.at(k).as_int());
+      }
+    }
+    benchmark::DoNotOptimize(accesses);
+  }
+  const std::chrono::duration<double, std::nano> wall =
+      std::chrono::steady_clock::now() - t0;
+  state.counters["ns_per_access"] = wall.count() / accesses;
+}
+BENCHMARK(BM_SimFamilyMix);
 
 }  // namespace pap_bench

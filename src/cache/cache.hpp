@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 
 namespace pap::cache {
 
@@ -86,24 +85,55 @@ class Cache {
 
   const CacheConfig& config() const { return config_; }
 
-  /// Per-requester hit/miss counters: "<id>.hits", "<id>.misses",
-  /// "<id>.evictions_suffered" (lines of `id` evicted by someone else).
-  const Counters& counters() const { return counters_; }
+  /// Per-requester access counts; 0 for a requester never seen.
+  /// evictions_suffered counts lines of `who` evicted by any allocation
+  /// (its own included); bypasses counts misses with no allocation rights.
+  std::int64_t hits(RequesterId who) const { return row(who).hits; }
+  std::int64_t misses(RequesterId who) const { return row(who).misses; }
+  std::int64_t bypasses(RequesterId who) const { return row(who).bypasses; }
+  std::int64_t evictions_suffered(RequesterId who) const {
+    return row(who).evictions_suffered;
+  }
+  /// One past the highest requester id with a row (rows are dense).
+  RequesterId requesters() const {
+    return static_cast<RequesterId>(rows_.size());
+  }
 
  private:
-  struct Line {
-    bool valid = false;
-    Addr tag = 0;
-    RequesterId owner = 0;
-    std::uint64_t last_use = 0;  ///< for LRU
+  // Ways are stored as parallel arrays (sets * ways, row-major by set), so
+  // a lookup scans one set's tags — two cache lines for 16 ways — without
+  // touching LRU stamps or owners. An invalid way holds kNoTag.
+  static constexpr Addr kNoTag = ~Addr{0};
+
+  /// Index of the way in `set` holding `tag`, or -1.
+  int find(std::size_t base, Addr tag) const;
+
+  /// One integer row per requester, indexed by requester id.
+  struct Row {
+    std::int64_t hits = 0;
+    std::int64_t misses = 0;
+    std::int64_t bypasses = 0;
+    std::int64_t evictions_suffered = 0;
   };
 
-  Line* find(std::uint32_t set, Addr tag);
+  Row row(RequesterId who) const {
+    return who < rows_.size() ? rows_[who] : Row{};
+  }
+  /// The row of `who`, grown on the requester's first access.
+  Row& row_for(RequesterId who) {
+    if (who >= rows_.size()) rows_.resize(static_cast<std::size_t>(who) + 1);
+    return rows_[who];
+  }
+
   CacheConfig config_;
+  unsigned line_shift_ = 0;      // log2(line_bytes)
+  std::uint32_t set_mask_ = 0;   // sets - 1
   AllocationFilter filter_;
-  std::vector<Line> lines_;  // sets * ways, row-major by set
+  std::vector<Addr> tags_;                // kNoTag = invalid way
+  std::vector<std::uint64_t> last_use_;  // LRU stamp (tick_ of last access)
+  std::vector<RequesterId> owner_;        // requester that allocated the line
   std::uint64_t tick_ = 0;
-  Counters counters_;
+  std::vector<Row> rows_;
 };
 
 }  // namespace pap::cache

@@ -106,8 +106,8 @@ AccessResult DsuCluster::access_scheme(SchemeId scheme, Addr addr) {
                        static_cast<double>(l3_.occupancy(scheme)));
     }
     tracer_->counter("dsu", who + (r.hit ? "/hits" : "/misses"),
-                     static_cast<double>(l3_.counters().get(
-                         std::to_string(scheme) + (r.hit ? ".hits" : ".misses"))),
+                     static_cast<double>(r.hit ? l3_.hits(scheme)
+                                               : l3_.misses(scheme)),
                      trace::CounterKind::kMonotonic);
   }
   return r;

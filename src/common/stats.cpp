@@ -132,23 +132,32 @@ std::string LatencyHistogram::ascii_chart(int buckets, int width) const {
   return os.str();
 }
 
-void Counters::inc(const std::string& name, std::int64_t by) {
-  for (auto& [k, v] : entries_) {
-    if (k == name) {
-      v += by;
-      return;
+Counters::Counters(std::initializer_list<std::string_view> names)
+    : names_(names), values_(names.size(), 0) {
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      PAP_CHECK_MSG(names_[i] != names_[j], "duplicate counter name");
     }
   }
-  entries_.emplace_back(name, by);
 }
 
-std::int64_t Counters::get(const std::string& name) const {
-  for (const auto& [k, v] : entries_) {
-    if (k == name) return v;
+std::int64_t Counters::get(std::string_view name) const {
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    if (names_[i] == name) return values_[i];
   }
   return 0;
 }
 
-void Counters::reset() { entries_.clear(); }
+std::vector<std::pair<std::string_view, std::int64_t>> Counters::entries()
+    const {
+  std::vector<std::pair<std::string_view, std::int64_t>> out;
+  out.reserve(names_.size());
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    out.emplace_back(names_[i], values_[i]);
+  }
+  return out;
+}
+
+void Counters::reset() { std::fill(values_.begin(), values_.end(), 0); }
 
 }  // namespace pap

@@ -5,9 +5,12 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/time.hpp"
 
 namespace pap {
@@ -75,22 +78,42 @@ class LatencyHistogram {
   mutable bool sorted_ = true;
 };
 
-/// Counter map utility: named monotonically increasing counters, used by the
-/// cache / DRAM / NoC models to expose occurrence counts (hits, misses,
-/// row conflicts, switches, stalls, ...).
+/// Fixed-schema occurrence counters (hits, misses, row conflicts, switches,
+/// stalls, ...) for the simulator's components.
+///
+/// A component declares its counter names once, at construction, in the
+/// order readers should see them, and bumps them by slot — an enum value
+/// indexing that declaration — so counting on a per-access path is one
+/// integer add: no string is built, hashed or compared. Readers ask by name
+/// through `get(name)` (0 for a name the component does not declare) or
+/// walk `entries()`. Names must outlive the Counters (string literals).
+///
+///   enum Counter : Counters::Slot { kHits, kMisses };
+///   Counters counters_{"hits", "misses"};
+///   counters_.inc(kHits);
 class Counters {
  public:
-  void inc(const std::string& name, std::int64_t by = 1);
-  std::int64_t get(const std::string& name) const;
-  const std::vector<std::pair<std::string, std::int64_t>>& entries() const {
-    return entries_;
+  using Slot = std::size_t;
+
+  Counters(std::initializer_list<std::string_view> names);
+
+  void inc(Slot slot, std::int64_t by = 1) {
+    PAP_CHECK(slot < values_.size());
+    values_[slot] += by;
   }
+  std::int64_t value(Slot slot) const {
+    PAP_CHECK(slot < values_.size());
+    return values_[slot];
+  }
+  std::int64_t get(std::string_view name) const;
+  /// Every declared counter with its value, in declaration order.
+  std::vector<std::pair<std::string_view, std::int64_t>> entries() const;
+  /// Zero every counter (the schema stays).
   void reset();
 
  private:
-  // Small, ordered by first use; linear lookup is fine for the handful of
-  // counters each component exposes, and preserves insertion order in output.
-  std::vector<std::pair<std::string, std::int64_t>> entries_;
+  std::vector<std::string_view> names_;
+  std::vector<std::int64_t> values_;
 };
 
 }  // namespace pap

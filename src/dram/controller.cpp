@@ -59,6 +59,8 @@ Controller::Controller(sim::Kernel& kernel, const Timings& timings,
                      }) {
   PAP_CHECK_MSG(timings_.valid(), "invalid DRAM timing set");
   PAP_CHECK_MSG(params_.valid(), "invalid controller parameters");
+  rows_closed_ = params_.page_policy == PagePolicy::kClosedPage ||
+                 policy_->auto_precharge();
   banks_.assign(static_cast<std::size_t>(params_.banks), Bank{timings_});
 }
 
@@ -68,10 +70,10 @@ void Controller::submit(Request request) {
   if (request.op == Op::kRead) {
     read_q_.push_back(request);
     max_read_depth_ = std::max(max_read_depth_, read_q_.size());
-    counters_.inc("reads_submitted");
+    counters_.inc(kReadsSubmitted);
   } else {
     write_q_.push_back(request);
-    counters_.inc("writes_submitted");
+    counters_.inc(kWritesSubmitted);
   }
   if (auto* t = kernel_.tracer()) {
     t->counter("dram", "read_q_depth", static_cast<double>(read_q_.size()));
@@ -83,7 +85,7 @@ void Controller::submit(Request request) {
 void Controller::inject_stall(Time until) {
   ready_at_ = std::max(ready_at_, until);
   last_was_hit_ = false;  // the stall breaks any data-bus pipeline
-  counters_.inc("injected_stalls");
+  counters_.inc(kInjectedStalls);
   if (auto* t = kernel_.tracer()) {
     t->span(kernel_.now(), until - kernel_.now(), "dram", "injected_stall",
             "fault");
@@ -108,29 +110,17 @@ void Controller::set_master_priority(std::uint32_t master,
   master_priorities_.emplace_back(master, priority);
 }
 
-std::uint8_t Controller::master_priority(std::uint32_t master) const {
-  for (const auto& [m, p] : master_priorities_) {
-    if (m == master) return p;
-  }
-  return 255;
-}
-
-bool Controller::row_open_hit(const Request& r) const {
-  return params_.page_policy == PagePolicy::kOpenRow &&
-         !policy_->auto_precharge() && banks_[r.bank].is_hit(r.row);
-}
-
 void Controller::switch_mode(Mode m, Time turnaround) {
   mode_ = m;
   ready_at_ = std::max(ready_at_, kernel_.now()) + turnaround;
   last_was_hit_ = false;  // turnaround breaks any data-bus pipeline
   if (m == Mode::kWrite) {
     writes_in_batch_ = 0;
-    counters_.inc("switches_to_write");
+    counters_.inc(kSwitchesToWrite);
   } else if (m == Mode::kRead) {
     hit_streak_ = 0;
     must_serve_read_ = true;
-    counters_.inc("switches_to_read");
+    counters_.inc(kSwitchesToRead);
   }
   if (auto* t = kernel_.tracer()) {
     t->instant("dram",
@@ -143,7 +133,7 @@ void Controller::switch_mode(Mode m, Time turnaround) {
 
 void Controller::do_refresh() {
   refresh_due_ = false;
-  counters_.inc("refreshes");
+  counters_.inc(kRefreshes);
   Time done = std::max(kernel_.now(), ready_at_);
   const Time start = done;
   for (auto& b : banks_) done = std::max(done, b.refresh(start));
@@ -152,7 +142,7 @@ void Controller::do_refresh() {
   if (auto* t = kernel_.tracer()) {
     t->span(start, done - start, "dram", "refresh", "mode");
     t->counter("dram", "refreshes",
-               static_cast<double>(counters_.get("refreshes")),
+               static_cast<double>(counters_.value(kRefreshes)),
                trace::CounterKind::kMonotonic);
   }
   if (on_mode_) on_mode_(kernel_.now(), Mode::kRefresh, write_q_.size());
@@ -188,7 +178,7 @@ void Controller::dispatch() {
       // A hit served from a non-head position was promoted over an older
       // request (under FCFS-ordered policies the pick is always the class
       // head, so this never fires).
-      if (idx != 0) counters_.inc("read_hit_promotions");
+      if (idx != 0) counters_.inc(kReadHitPromotions);
       ++hit_streak_;
     } else {
       hit_streak_ = 0;
@@ -226,13 +216,11 @@ void Controller::serve(Request r, bool is_hit) {
     } else {
       completion = now + timings_.read_hit_first_latency();
     }
-    counters_.inc(r.op == Op::kRead ? "read_hits" : "write_hits");
+    counters_.inc(r.op == Op::kRead ? kReadHits : kWriteHits);
   } else {
-    completion = banks_[r.bank].access(
-        now, r.row, r.op == Op::kWrite,
-        params_.page_policy == PagePolicy::kClosedPage ||
-            policy_->auto_precharge());
-    counters_.inc(r.op == Op::kRead ? "read_misses" : "write_misses");
+    completion = banks_[r.bank].access(now, r.row, r.op == Op::kWrite,
+                                       rows_closed_);
+    counters_.inc(r.op == Op::kRead ? kReadMisses : kWriteMisses);
   }
   last_was_hit_ = is_hit;
   last_bank_ = r.bank;
@@ -258,12 +246,12 @@ void Controller::serve(Request r, bool is_hit) {
     t->span(now, completion - now, "dram",
             std::string(op) + (is_hit ? "/CAS" : "/ACT+CAS"), "service");
     t->counter("dram", "row_hits",
-               static_cast<double>(counters_.get("read_hits") +
-                                   counters_.get("write_hits")),
+               static_cast<double>(counters_.value(kReadHits) +
+                                   counters_.value(kWriteHits)),
                trace::CounterKind::kMonotonic);
     t->counter("dram", "row_misses",
-               static_cast<double>(counters_.get("read_misses") +
-                                   counters_.get("write_misses")),
+               static_cast<double>(counters_.value(kReadMisses) +
+                                   counters_.value(kWriteMisses)),
                trace::CounterKind::kMonotonic);
   }
   if (on_complete_) {

@@ -132,7 +132,12 @@ class Controller {
   /// class. Lower value = more important; unset masters default to the
   /// lowest (255).
   void set_master_priority(std::uint32_t master, std::uint8_t priority);
-  std::uint8_t master_priority(std::uint32_t master) const;
+  std::uint8_t master_priority(std::uint32_t master) const {
+    for (const auto& [m, p] : master_priorities_) {
+      if (m == master) return p;
+    }
+    return 255;
+  }
 
   /// Fault injection: freeze command issue until `until` — a transient
   /// stall window (thermal throttle, RAS scrub, rank power event). Requests
@@ -153,6 +158,10 @@ class Controller {
   std::size_t write_queue_depth() const { return write_q_.size(); }
   Mode mode() const { return mode_; }
 
+  /// "reads_submitted", "writes_submitted", "injected_stalls",
+  /// "switches_to_write", "switches_to_read", "refreshes",
+  /// "read_hit_promotions", "read_hits", "write_hits", "read_misses",
+  /// "write_misses".
   const Counters& counters() const { return counters_; }
   const LatencyHistogram& read_latency() const { return read_latency_; }
   const LatencyHistogram& write_latency() const { return write_latency_; }
@@ -167,7 +176,9 @@ class Controller {
   /// Would `r` hit an open row right now? False whenever row management
   /// (page policy or an auto-precharging scheduler policy) keeps rows
   /// closed.
-  bool row_open_hit(const Request& r) const;
+  bool row_open_hit(const Request& r) const {
+    return !rows_closed_ && banks_[r.bank].is_hit(r.row);
+  }
   bool must_serve_read() const { return must_serve_read_; }
   int hit_streak() const { return hit_streak_; }
   int writes_in_batch() const { return writes_in_batch_; }
@@ -185,10 +196,27 @@ class Controller {
   void do_refresh();
   void switch_mode(Mode m, Time turnaround);
 
+  enum Counter : Counters::Slot {
+    kReadsSubmitted,
+    kWritesSubmitted,
+    kInjectedStalls,
+    kSwitchesToWrite,
+    kSwitchesToRead,
+    kRefreshes,
+    kReadHitPromotions,
+    kReadHits,
+    kWriteHits,
+    kReadMisses,
+    kWriteMisses,
+  };
+
   sim::Kernel& kernel_;
   Timings timings_;
   ControllerParams params_;
   std::unique_ptr<SchedulerPolicy> policy_;
+  /// Every access auto-precharges (closed-page row management or an
+  /// auto-precharging policy): rows never stay open.
+  bool rows_closed_ = false;
 
   std::vector<Bank> banks_;
   std::deque<Request> read_q_;
@@ -212,7 +240,12 @@ class Controller {
 
   CompletionFn on_complete_;
   ModeTraceFn on_mode_;
-  Counters counters_;
+  Counters counters_{"reads_submitted",     "writes_submitted",
+                     "injected_stalls",     "switches_to_write",
+                     "switches_to_read",    "refreshes",
+                     "read_hit_promotions", "read_hits",
+                     "write_hits",          "read_misses",
+                     "write_misses"};
   LatencyHistogram read_latency_;
   LatencyHistogram write_latency_;
 };

@@ -58,19 +58,15 @@ void Network::send(Packet packet) {
       t->span(grant, tail_out - grant, "noc",
               "inject/node" + std::to_string(packet.src), "inject");
     }
-    auto route = mesh_.route(packet.src, packet.dst, packet.route_order);
-    kernel_.schedule_at(head_out, [this, packet, route = std::move(route),
-                                   head_out, tail_out] {
-      process_hop(packet, route, 0, packet.src, head_out, tail_out);
+    kernel_.schedule_at(head_out, [this, packet, head_out, tail_out] {
+      process_hop(packet, packet.src, head_out, tail_out);
     });
   });
 }
 
-void Network::process_hop(Packet packet, std::vector<Direction> route,
-                          std::size_t hop, NodeId router, Time head_in,
+void Network::process_hop(const Packet& packet, NodeId router, Time head_in,
                           Time tail_in) {
-  PAP_CHECK(hop < route.size());
-  const Direction out = route[hop];
+  const Direction out = mesh_.next_hop(router, packet.dst, packet.route_order);
   OutputChannel& ch = channel(router, out);
   // Pipelined forwarding: an uncontended head pays the router pipeline;
   // a queued packet's first flit follows the previous packet's last flit
@@ -119,9 +115,8 @@ void Network::process_hop(Packet packet, std::vector<Direction> route,
     return;
   }
   const NodeId next = mesh_.neighbor(router, out);
-  kernel_.schedule_at(out_head, [this, packet, route = std::move(route), hop,
-                                 next, out_head, out_tail]() mutable {
-    process_hop(packet, std::move(route), hop + 1, next, out_head, out_tail);
+  kernel_.schedule_at(out_head, [this, packet, next, out_head, out_tail] {
+    process_hop(packet, next, out_head, out_tail);
   });
 }
 

@@ -65,8 +65,12 @@ class Network {
   std::uint64_t link_faults() const { return link_faults_; }
 
  private:
-  void process_hop(Packet packet, std::vector<Direction> route,
-                   std::size_t hop, NodeId router, Time head_in, Time tail_in);
+  /// The packet's head reaches `router` at `head_in`, its tail at
+  /// `tail_in`; forward it one hop along its route (recomputed per hop
+  /// from the packet's destination and route order, so the hop event
+  /// captures no route vector).
+  void process_hop(const Packet& packet, NodeId router, Time head_in,
+                   Time tail_in);
 
   OutputChannel& channel(NodeId router, Direction d) {
     return channels_[router * kNumPorts + static_cast<std::size_t>(d)];

@@ -42,31 +42,25 @@ NodeId Mesh2D::neighbor(NodeId n, Direction d) const {
 std::vector<Direction> Mesh2D::route(NodeId src, NodeId dst,
                                      RouteOrder order) const {
   std::vector<Direction> out;
-  int x = x_of(src);
-  int y = y_of(src);
+  for (NodeId at = src;;) {
+    const Direction d = next_hop(at, dst, order);
+    out.push_back(d);
+    if (d == Direction::kLocal) return out;
+    at = neighbor(at, d);
+  }
+}
+
+Direction Mesh2D::next_hop(NodeId at, NodeId dst, RouteOrder order) const {
+  const int x = x_of(at);
+  const int y = y_of(at);
   const int dx = x_of(dst);
   const int dy = y_of(dst);
-  const auto walk_x = [&] {
-    while (x != dx) {
-      out.push_back(x < dx ? Direction::kEast : Direction::kWest);
-      x += x < dx ? 1 : -1;
-    }
-  };
-  const auto walk_y = [&] {
-    while (y != dy) {
-      out.push_back(y < dy ? Direction::kNorth : Direction::kSouth);
-      y += y < dy ? 1 : -1;
-    }
-  };
-  if (order == RouteOrder::kXY) {
-    walk_x();
-    walk_y();
-  } else {
-    walk_y();
-    walk_x();
+  const bool x_first = order == RouteOrder::kXY;
+  if (x != dx && (x_first || y == dy)) {
+    return x < dx ? Direction::kEast : Direction::kWest;
   }
-  out.push_back(Direction::kLocal);
-  return out;
+  if (y != dy) return y < dy ? Direction::kNorth : Direction::kSouth;
+  return Direction::kLocal;
 }
 
 int Mesh2D::hop_count(NodeId src, NodeId dst) const {

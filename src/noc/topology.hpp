@@ -60,6 +60,11 @@ class Mesh2D {
   std::vector<Direction> route(NodeId src, NodeId dst,
                                RouteOrder order = RouteOrder::kXY) const;
 
+  /// The output port a packet bound for `dst` takes at router `at` on that
+  /// route (kLocal once it has arrived); route() is this, step by step.
+  Direction next_hop(NodeId at, NodeId dst,
+                     RouteOrder order = RouteOrder::kXY) const;
+
   /// Number of router-to-router hops (same for XY and YX).
   int hop_count(NodeId src, NodeId dst) const;
 

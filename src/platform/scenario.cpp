@@ -470,9 +470,11 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
   for (const PhaseSpec& p : knobs.phases) {
     auto it = targets.find(p.master);
     PAP_CHECK_MSG(it != targets.end(), "phase targets unknown master");
-    auto fn = p.action == PhaseSpec::Action::kStart ? it->second.first
-                                                    : it->second.second;
-    kernel.schedule_at(p.at, [fn = std::move(fn), t, p] {
+    // `targets` and `knobs` outlive the run: capture references.
+    const std::function<void()>& fn = p.action == PhaseSpec::Action::kStart
+                                          ? it->second.first
+                                          : it->second.second;
+    kernel.schedule_at(p.at, [&fn, t, &p] {
       if (t) {
         t->instant("scenario",
                    (p.action == PhaseSpec::Action::kStart ? "phase_start/"
@@ -546,6 +548,7 @@ Expected<ScenarioResult> run_impl(const ScenarioKnobs& knobs,
   for (int c = 0; c < cores; ++c) {
     result.core_latency.push_back(soc.core_latency(c));
   }
+  result.counters = soc.counter_snapshot();
   return result;
 }
 

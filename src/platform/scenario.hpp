@@ -221,6 +221,8 @@ struct ScenarioResult {
   /// global core). This is the ps-exact ground truth trace replay is
   /// pinned against.
   std::vector<LatencyHistogram> core_latency;
+  /// Every component counter at the end of the run (Soc::counter_snapshot).
+  std::vector<std::pair<std::string, std::int64_t>> counters;
 
   /// Inflation of the given percentile vs. a baseline run.
   static double inflation(const ScenarioResult& base,

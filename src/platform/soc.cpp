@@ -78,6 +78,33 @@ void Soc::set_mpam_regulator(
   partid_of_core_ = std::move(partid_of_core);
 }
 
+std::vector<std::pair<std::string, std::int64_t>> Soc::counter_snapshot()
+    const {
+  std::vector<std::pair<std::string, std::int64_t>> out;
+  for (const auto& [name, v] : counters_.entries()) {
+    out.emplace_back("soc." + std::string(name), v);
+  }
+  for (const auto& [name, v] : dram_->counters().entries()) {
+    out.emplace_back("dram." + std::string(name), v);
+  }
+  const auto rows = [&out](const std::string& prefix, const cache::Cache& c) {
+    for (cache::RequesterId who = 0; who < c.requesters(); ++who) {
+      const std::string p = prefix + std::to_string(who) + ".";
+      out.emplace_back(p + "hits", c.hits(who));
+      out.emplace_back(p + "misses", c.misses(who));
+      out.emplace_back(p + "bypasses", c.bypasses(who));
+      out.emplace_back(p + "evictions_suffered", c.evictions_suffered(who));
+    }
+  };
+  for (std::size_t core = 0; core < l1_.size(); ++core) {
+    rows("l1." + std::to_string(core) + ".", *l1_[core]);
+  }
+  for (std::size_t cl = 0; cl < clusters_.size(); ++cl) {
+    rows("l3." + std::to_string(cl) + ".", clusters_[cl]->l3());
+  }
+  return out;
+}
+
 std::pair<std::uint32_t, std::uint32_t> Soc::addr_to_bank_row(
     cache::Addr addr) const {
   // Row-interleaved mapping: consecutive rows rotate across banks.
@@ -94,7 +121,7 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
     probe_(core, addr, write, issued,
            scheme_of_core_[static_cast<std::size_t>(core)] != 0);
   }
-  counters_.inc("accesses");
+  counters_.inc(kAccesses);
   trace::Tracer* tracer = kernel_.tracer();
   if (tracer) {
     // The DSU is functional (no kernel handle); keep its tracer in sync
@@ -102,14 +129,14 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
     // stream.
     for (auto& cl : clusters_) cl->set_tracer(tracer);
     tracer->counter("soc", "accesses",
-                    static_cast<double>(counters_.get("accesses")),
+                    static_cast<double>(counters_.value(kAccesses)),
                     trace::CounterKind::kMonotonic);
   }
 
   // L1, private per core.
   auto& l1 = *l1_[static_cast<std::size_t>(core)];
   if (l1.access(0, addr).hit) {
-    counters_.inc("l1_hits");
+    counters_.inc(kL1Hits);
     const Time finish = issued + cfg_.l1_latency;
     kernel_.schedule_at(finish, [this, core, issued, finish,
                                  done = std::move(done)] {
@@ -125,7 +152,7 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
   auto& dsu = *clusters_[static_cast<std::size_t>(cluster)];
   const auto scheme = scheme_of_core_[static_cast<std::size_t>(core)];
   if (dsu.access_scheme(scheme, addr).hit) {
-    counters_.inc("l3_hits");
+    counters_.inc(kL3Hits);
     const Time finish = issued + cfg_.l1_latency + cfg_.l3_latency;
     kernel_.schedule_at(finish, [this, core, issued, finish,
                                  done = std::move(done)] {
@@ -138,13 +165,13 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
 
   // Miss all the way to DRAM: Memguard gate, then interconnect, then the
   // event-driven controller.
-  counters_.inc("dram_accesses");
+  counters_.inc(kDramAccesses);
   Time admit = issued;
   if (memguard_) {
     admit = memguard_->request_access(
         domain_of_core_[static_cast<std::size_t>(core)]);
     if (admit > issued) {
-      counters_.inc("memguard_stalls");
+      counters_.inc(kMemguardStalls);
       if (tracer) {
         tracer->span(issued, admit - issued, "soc",
                      "memguard_stall/core" + std::to_string(core), "stall");
@@ -155,7 +182,7 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
     const Time hw_admit = mpam_reg_->admit(
         partid_of_core_[static_cast<std::size_t>(core)], issued);
     if (hw_admit > issued) {
-      counters_.inc("mpam_bw_stalls");
+      counters_.inc(kMpamBwStalls);
       if (tracer) {
         tracer->span(issued, hw_admit - issued, "soc",
                      "mpam_bw_stall/core" + std::to_string(core), "stall");

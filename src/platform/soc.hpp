@@ -52,8 +52,10 @@ class Soc {
  public:
   Soc(sim::Kernel& kernel, const SocConfig& config);
 
-  /// Completion callback carries the access's total latency.
-  using DoneFn = std::function<void(Time latency)>;
+  /// Completion callback carries the access's total latency. Stored
+  /// inline (no heap): 24 bytes fit a master's `this` plus two words of
+  /// per-access state.
+  using DoneFn = sim::InlineFn<void(Time latency), 24>;
 
   /// Perform one cached memory access from `core` (global index). Walks
   /// L1 -> L3 -> (Memguard gate) -> DRAM; `done` fires at completion.
@@ -101,9 +103,26 @@ class Soc {
   const LatencyHistogram& core_latency(int core) const {
     return core_latency_.at(core);
   }
+  /// "accesses", "l1_hits", "l3_hits", "dram_accesses", "memguard_stalls",
+  /// "mpam_bw_stalls".
   const Counters& counters() const { return counters_; }
 
+  /// Every component counter, by qualified name: "soc.<name>",
+  /// "dram.<name>", and each cache's per-requester rows as
+  /// "l1.<core>.<requester>.<what>" / "l3.<cluster>.<requester>.<what>"
+  /// (what = hits, misses, bypasses, evictions_suffered).
+  std::vector<std::pair<std::string, std::int64_t>> counter_snapshot() const;
+
  private:
+  enum Counter : Counters::Slot {
+    kAccesses,
+    kL1Hits,
+    kL3Hits,
+    kDramAccesses,
+    kMemguardStalls,
+    kMpamBwStalls,
+  };
+
   std::pair<std::uint32_t, std::uint32_t> addr_to_bank_row(
       cache::Addr addr) const;
 
@@ -118,7 +137,9 @@ class Soc {
   std::vector<mpam::PartId> partid_of_core_;
   std::vector<cache::SchemeId> scheme_of_core_;
   std::vector<LatencyHistogram> core_latency_;
-  Counters counters_;
+  Counters counters_{"accesses",        "l1_hits",       "l3_hits",
+                     "dram_accesses",   "memguard_stalls",
+                     "mpam_bw_stalls"};
   AccessProbe probe_;
 
   struct Outstanding {

@@ -9,29 +9,19 @@ void Kernel::set_tracer(trace::Tracer* tracer) {
   if (tracer_) tracer_->set_clock([this] { return now_; });
 }
 
-bool Kernel::before(std::uint32_t a, std::uint32_t b) const {
-  const Entry& ea = pool_[a];
-  const Entry& eb = pool_[b];
-  if (ea.at != eb.at) return ea.at < eb.at;
-  if (ea.priority != eb.priority) return ea.priority < eb.priority;
-  return ea.seq < eb.seq;
-}
-
 void Kernel::sift_up(std::uint32_t pos) {
-  const std::uint32_t slot = heap_[pos];
+  const HeapEntry e = heap_[pos];
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / 4;
-    if (!before(slot, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    pool_[heap_[pos]].heap_pos = pos;
+    if (!before(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
     pos = parent;
   }
-  heap_[pos] = slot;
-  pool_[slot].heap_pos = pos;
+  place(pos, e);
 }
 
 void Kernel::sift_down(std::uint32_t pos) {
-  const std::uint32_t slot = heap_[pos];
+  const HeapEntry e = heap_[pos];
   const auto n = static_cast<std::uint32_t>(heap_.size());
   for (;;) {
     const std::uint32_t first = 4 * pos + 1;
@@ -41,53 +31,48 @@ void Kernel::sift_down(std::uint32_t pos) {
     for (std::uint32_t c = first + 1; c < end; ++c) {
       if (before(heap_[c], heap_[best])) best = c;
     }
-    if (!before(heap_[best], slot)) break;
-    heap_[pos] = heap_[best];
-    pool_[heap_[pos]].heap_pos = pos;
+    if (!before(heap_[best], e)) break;
+    place(pos, heap_[best]);
     pos = best;
   }
-  heap_[pos] = slot;
-  pool_[slot].heap_pos = pos;
+  place(pos, e);
 }
 
 std::uint32_t Kernel::pop_root() {
-  const std::uint32_t slot = heap_[0];
-  const std::uint32_t last = heap_.back();
+  const std::uint32_t slot = heap_[0].slot;
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
-    heap_[0] = last;
-    pool_[last].heap_pos = 0;
+    place(0, last);
     sift_down(0);
   }
-  pool_[slot].heap_pos = kNoPos;
+  slots_[slot].heap_pos = kNoPos;
   return slot;
 }
 
 void Kernel::release_slot(std::uint32_t slot) {
-  Entry& e = pool_[slot];
-  e.seq = 0;
-  e.heap_pos = kNoPos;
-  e.fn = nullptr;
+  slots_[slot] = Slot{0, kNoPos};
+  fns_[slot] = nullptr;
   free_.push_back(slot);
 }
 
-EventId Kernel::schedule_at(Time at, EventFn fn, int priority) {
+EventId Kernel::enqueue(Time at, int priority) {
   PAP_CHECK_MSG(at >= now_, "cannot schedule an event in the past");
+  PAP_CHECK_MSG(priority >= -kPriorityLimit && priority < kPriorityLimit,
+                "event priority out of range");
   const std::uint64_t seq = next_seq_++;
+  PAP_CHECK_MSG(seq < (std::uint64_t{1} << kSeqBits), "event count overflow");
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
     free_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+    fns_.emplace_back();
   }
-  Entry& e = pool_[slot];
-  e.at = at;
-  e.priority = priority;
-  e.seq = seq;
-  e.fn = std::move(fn);
-  heap_.push_back(slot);
+  slots_[slot].seq = seq;
+  heap_.push_back(HeapEntry{at, rank_of(priority, seq), slot});
   sift_up(static_cast<std::uint32_t>(heap_.size()) - 1);
   return EventId{seq, slot};
 }
@@ -97,18 +82,16 @@ bool Kernel::cancel(EventId id) {
   // Only genuinely pending events can be cancelled: a stale handle (already
   // fired or already cancelled, possibly with the slot since recycled) fails
   // the seq comparison and is rejected without touching any state.
-  if (id.slot_ >= pool_.size()) return false;
-  Entry& e = pool_[id.slot_];
-  if (e.seq != id.seq_) return false;
+  if (id.slot_ >= slots_.size()) return false;
+  if (slots_[id.slot_].seq != id.seq_) return false;
   // In-place heap removal: swap the last leaf into the vacated position and
   // restore the heap property in whichever direction it was violated.
-  const std::uint32_t pos = e.heap_pos;
+  const std::uint32_t pos = slots_[id.slot_].heap_pos;
   const auto last_pos = static_cast<std::uint32_t>(heap_.size()) - 1;
-  const std::uint32_t moved = heap_[last_pos];
+  const HeapEntry moved = heap_[last_pos];
   heap_.pop_back();
   if (pos != last_pos) {
-    heap_[pos] = moved;
-    pool_[moved].heap_pos = pos;
+    place(pos, moved);
     sift_down(pos);
     sift_up(pos);
   }
@@ -118,14 +101,14 @@ bool Kernel::cancel(EventId id) {
 
 bool Kernel::step() {
   if (heap_.empty()) return false;
+  const Time at = heap_[0].at;
+  PAP_CHECK(at >= now_);
   const std::uint32_t slot = pop_root();
-  Entry& e = pool_[slot];
-  PAP_CHECK(e.at >= now_);
-  now_ = e.at;
+  now_ = at;
   ++executed_;
   // Detach fn and free the slot before running: the handler may schedule new
   // events (which can legally reuse this slot) or re-enter the kernel.
-  EventFn fn = std::move(e.fn);
+  EventFn fn = std::move(fns_[slot]);
   release_slot(slot);
   fn();
   return true;
@@ -134,7 +117,7 @@ bool Kernel::step() {
 std::uint64_t Kernel::run(Time until) {
   std::uint64_t ran = 0;
   while (!heap_.empty()) {
-    const Time t = pool_[heap_[0]].at;
+    const Time t = heap_[0].at;
     // Peek: do not advance past `until`.
     if (t > until) break;
     PAP_CHECK(t >= now_);
@@ -143,10 +126,10 @@ std::uint64_t Kernel::run(Time until) {
     // (priority, insertion) order without re-checking `until` per event, and
     // events the handlers schedule *at* t join the batch (schedule_at
     // forbids the past, so nothing can sneak in before t).
-    while (!heap_.empty() && pool_[heap_[0]].at == t) {
+    while (!heap_.empty() && heap_[0].at == t) {
       const std::uint32_t slot = pop_root();
       ++executed_;
-      EventFn fn = std::move(pool_[slot].fn);
+      EventFn fn = std::move(fns_[slot]);
       release_slot(slot);
       fn();
       ++ran;
@@ -156,8 +139,9 @@ std::uint64_t Kernel::run(Time until) {
 }
 
 void Kernel::reset() {
-  pool_.clear();
   heap_.clear();
+  slots_.clear();
+  fns_.clear();
   free_.clear();
   now_ = Time::zero();
   executed_ = 0;

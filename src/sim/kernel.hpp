@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/time.hpp"
+#include "sim/inline_fn.hpp"
 
 namespace pap::trace {
 class Tracer;
@@ -24,7 +24,13 @@ class Tracer;
 
 namespace pap::sim {
 
-using EventFn = std::function<void()>;
+/// An event's action: a move-only callable stored inline in the event
+/// slot, so scheduling never allocates. 72 bytes hold the largest capture on
+/// the simulator's per-access path — a Soc completion event carrying the
+/// core's completion callback (Soc::DoneFn) plus issue and finish instants.
+/// A larger capture fails to compile; capture a pointer or an index
+/// instead (see inline_fn.hpp).
+using EventFn = InlineFn<void(), 72>;
 
 /// Opaque handle for cancelling a scheduled event. Carries the pool slot of
 /// the event (for O(1) lookup) plus its unique sequence number (so a handle
@@ -52,11 +58,19 @@ class Kernel {
 
   /// Schedule `fn` to run at absolute time `at` (must be >= now()).
   /// Lower `priority` runs first among same-timestamp events.
-  EventId schedule_at(Time at, EventFn fn, int priority = 0);
+  /// `fn` is any void() callable (or an EventFn); it is constructed
+  /// directly in the event's slot.
+  template <typename F>
+  EventId schedule_at(Time at, F&& fn, int priority = 0) {
+    const EventId id = enqueue(at, priority);
+    fns_[id.slot_] = std::forward<F>(fn);
+    return id;
+  }
 
   /// Schedule `fn` to run `delay` after the current time.
-  EventId schedule_in(Time delay, EventFn fn, int priority = 0) {
-    return schedule_at(now_ + delay, std::move(fn), priority);
+  template <typename F>
+  EventId schedule_in(Time delay, F&& fn, int priority = 0) {
+    return schedule_at(now_ + delay, std::forward<F>(fn), priority);
   }
 
   /// Cancel a pending event in O(log n): the entry is removed from the heap
@@ -88,33 +102,59 @@ class Kernel {
   trace::Tracer* tracer() const { return tracer_; }
 
  private:
-  // Event storage: a slot pool indexed by a 4-ary min-heap of slot numbers.
+  // Event storage: a slot pool plus a 4-ary min-heap that carries each
+  // event's ordering key.
   //
-  //  * The heap holds 4-byte slot indices, so a sift moves ints, not
-  //    std::function-bearing structs — one Entry move per executed event
-  //    (when its fn is handed to the caller) instead of O(log n) moves.
-  //  * Each Entry records its heap position, so cancel() removes the entry
+  //  * A heap entry is the event's key and slot, so a sift compares and
+  //    moves 24-byte entries inside one contiguous array and never reads
+  //    the pool. The key is `at` plus `rank`, which packs (priority, seq)
+  //    into one integer: ordering by (at, rank) is ordering by
+  //    (at, priority, seq).
+  //  * Each slot records its heap position, so cancel() removes the entry
   //    in place (swap with the last leaf + one sift) instead of leaving a
   //    tombstone to filter at pop time. Cancel-heavy workloads (timeouts,
   //    PeriodicEvent churn) no longer inflate the queue.
   //  * Slots are recycled through a free list; the monotone `seq` stamped
-  //    into each Entry distinguishes a live event from a stale handle whose
+  //    into each slot distinguishes a live event from a stale handle whose
   //    slot has been reused.
-  //  * 4-ary beats binary here: the heap is shallower (log_4 n levels) and
-  //    the four children share a cache line of slot indices.
-  struct Entry {
+  //  * An event's fn is an inline callable (EventFn) kept in a separate
+  //    array indexed by slot: the capture lives in the pool itself, so once
+  //    the pool has grown to the run's peak event count, scheduling and
+  //    firing touch no heap memory at all.
+  //  * 4-ary beats binary here: the heap is shallower (log_4 n levels).
+  struct HeapEntry {
     Time at;
-    int priority = 0;
-    std::uint64_t seq = 0;       // insertion order; 0 = free slot
+    std::uint64_t rank = 0;  // rank_of(priority, seq)
+    std::uint32_t slot = 0;
+  };
+  // rank = (priority + 2^23) << 40 | seq: priorities in [-2^23, 2^23) and
+  // up to 2^40 events per kernel (checked in enqueue()).
+  static constexpr int kSeqBits = 40;
+  static constexpr int kPriorityLimit = 1 << 23;
+  static std::uint64_t rank_of(int priority, std::uint64_t seq) {
+    return static_cast<std::uint64_t>(priority + kPriorityLimit) << kSeqBits |
+           seq;
+  }
+  struct Slot {
+    std::uint64_t seq = 0;       // of the pending event; 0 = free slot
     std::uint32_t heap_pos = 0;  // index into heap_ while scheduled
-    EventFn fn;
   };
 
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
 
-  /// True when pool_[a] fires strictly before pool_[b]
-  /// ((at, priority, seq) lexicographic).
-  bool before(std::uint32_t a, std::uint32_t b) const;
+  /// True when `a` fires strictly before `b` ((at, priority, seq)
+  /// lexicographic).
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return a.at < b.at || (a.at == b.at && a.rank < b.rank);
+  }
+  /// Store `e` at heap position `pos` and record the position in its slot.
+  void place(std::uint32_t pos, const HeapEntry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].heap_pos = pos;
+  }
+  /// Claim a slot for an event at (at, priority) and insert it into the
+  /// heap; the caller then stores the event's fn in fns_[slot].
+  EventId enqueue(Time at, int priority);
   void sift_up(std::uint32_t pos);
   void sift_down(std::uint32_t pos);
   /// Detach the heap root and return its slot (heap_pos becomes kNoPos).
@@ -122,8 +162,9 @@ class Kernel {
   /// Return a slot to the free list (clears seq and releases fn).
   void release_slot(std::uint32_t slot);
 
-  std::vector<Entry> pool_;
-  std::vector<std::uint32_t> heap_;  // slot indices, 4-ary min-heap
+  std::vector<HeapEntry> heap_;  // 4-ary min-heap by (at, rank)
+  std::vector<Slot> slots_;
+  std::vector<EventFn> fns_;         // indexed by slot
   std::vector<std::uint32_t> free_;  // recycled slot indices
 
   Time now_ = Time::zero();

@@ -22,8 +22,8 @@ TEST(Cache, MissThenHit) {
   EXPECT_FALSE(c.access(0, 0x1000).hit);
   EXPECT_TRUE(c.access(0, 0x1000).hit);
   EXPECT_TRUE(c.access(0, 0x1020).hit);  // same 64-byte line
-  EXPECT_EQ(c.counters().get("0.hits"), 2);
-  EXPECT_EQ(c.counters().get("0.misses"), 1);
+  EXPECT_EQ(c.hits(0), 2);
+  EXPECT_EQ(c.misses(0), 1);
 }
 
 TEST(Cache, SetIndexing) {
@@ -76,7 +76,7 @@ TEST(Cache, EmptyMaskBypasses) {
   EXPECT_FALSE(r.hit);
   EXPECT_FALSE(r.allocated);
   EXPECT_FALSE(c.access(0, 0).hit);  // still not cached (bypasses again)
-  EXPECT_EQ(c.counters().get("0.bypasses"), 2);
+  EXPECT_EQ(c.bypasses(0), 2);
 }
 
 TEST(Cache, OccupancyPerRequester) {
@@ -93,7 +93,7 @@ TEST(Cache, EvictionsSufferedCounter) {
   c.access(1, 0);
   c.access(1, 256);
   c.access(2, 512);  // evicts one of requester 1's lines (LRU)
-  EXPECT_EQ(c.counters().get("1.evictions_suffered"), 1);
+  EXPECT_EQ(c.evictions_suffered(1), 1);
 }
 
 TEST(Cache, WaysOwnedByMask) {

@@ -108,7 +108,7 @@ TEST(Coloring, ColoredPartitionsCannotEvictEachOther) {
       EXPECT_TRUE(cache.access(1, page + off).hit);
     }
   }
-  EXPECT_EQ(cache.counters().get("1.evictions_suffered"), 0);
+  EXPECT_EQ(cache.evictions_suffered(1), 0);
 }
 
 }  // namespace

@@ -153,16 +153,29 @@ TEST(LatencyHistogram, SummaryAndChart) {
 }
 
 TEST(Counters, IncrementAndLookup) {
-  Counters c;
-  c.inc("hits");
-  c.inc("hits", 4);
-  c.inc("misses");
+  enum : Counters::Slot { kHits, kMisses };
+  Counters c{"hits", "misses"};
+  c.inc(kHits);
+  c.inc(kHits, 4);
+  c.inc(kMisses);
   EXPECT_EQ(c.get("hits"), 5);
+  EXPECT_EQ(c.value(kHits), 5);
   EXPECT_EQ(c.get("misses"), 1);
   EXPECT_EQ(c.get("unknown"), 0);
-  EXPECT_EQ(c.entries().size(), 2u);
+  ASSERT_EQ(c.entries().size(), 2u);
+  EXPECT_EQ(c.entries()[0].first, "hits");
+  EXPECT_EQ(c.entries()[1].second, 1);
   c.reset();
   EXPECT_EQ(c.get("hits"), 0);
+  EXPECT_EQ(c.entries().size(), 2u);  // the schema survives a reset
+}
+
+TEST(Counters, DeclaredButUntouchedReadsZero) {
+  Counters c{"a", "b", "c"};
+  c.inc(2, 7);
+  EXPECT_EQ(c.get("a"), 0);
+  EXPECT_EQ(c.get("c"), 7);
+  EXPECT_EQ(c.entries()[2].second, 7);
 }
 
 TEST(Rng, DeterministicForSeed) {

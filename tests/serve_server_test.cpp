@@ -700,5 +700,60 @@ TEST(Server, PapdBinarySigtermDrainsAndExitsZero) {
   ::unlink(sock.c_str());
 }
 
+TEST(Server, PapdBinaryAbandonedDrainExitsOneAtOnce) {
+  // A drain that misses --drain-ms abandons the still-running workers:
+  // papd must say so and exit 1 without running static destructors under
+  // them (returning from main raced the detached workers).
+  const std::string sock = test_socket_path("papd_abandon");
+  ::unlink(sock.c_str());
+  int out[2];
+  ASSERT_EQ(::pipe(out), 0);
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(out[1], STDOUT_FILENO);
+    ::close(out[0]);
+    ::close(out[1]);
+    ::execl(PAPD_BIN, "papd", "--unix", sock.c_str(), "--workers", "2",
+            "--drain-ms", "1", static_cast<char*>(nullptr));
+    _exit(127);  // exec failed
+  }
+  ::close(out[1]);
+
+  Expected<Client> client = Expected<Client>::error("not yet connected");
+  for (int i = 0; i < 200 && !client.has_value(); ++i) {
+    std::this_thread::sleep_for(25ms);
+    client = Client::connect_unix(sock);
+  }
+  ASSERT_TRUE(client.has_value()) << client.error_message();
+  Client& c = client.value();
+
+  // Slow simulations (the longest scenario_sim accepts, eight hogs) keep
+  // both workers busy far past the 1 ms drain deadline.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(c.send_line("{\"id\":" + std::to_string(i) +
+                            ",\"op\":\"scenario_sim\",\"params\":"
+                            "{\"hogs\":8,\"sim_time_us\":20000}}")
+                    .is_ok());
+  }
+  std::this_thread::sleep_for(30ms);
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  std::string log;
+  char buf[512];
+  for (ssize_t n; (n = ::read(out[0], buf, sizeof buf)) > 0;) {
+    log.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(out[0]);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << log;
+  EXPECT_NE(log.find("papd: drain deadline exceeded\n"), std::string::npos)
+      << log;
+  ::unlink(sock.c_str());
+}
+
 }  // namespace
 }  // namespace pap::serve

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -335,6 +337,144 @@ TEST(Kernel, RandomizedAgainstSortedVectorReference) {
     for (const auto& e : ref) want.push_back(e.tag);
     ASSERT_EQ(got, want) << "round " << round;
   }
+}
+
+// ---- EventFn: the inline, move-only event callable -------------------------
+
+/// Counts live copies of itself: every constructed instance (including
+/// moved-to ones) must be destroyed exactly once.
+struct LiveCounter {
+  explicit LiveCounter(int* live, int* calls) : live_(live), calls_(calls) {
+    ++*live_;
+  }
+  LiveCounter(LiveCounter&& o) noexcept : live_(o.live_), calls_(o.calls_) {
+    ++*live_;
+  }
+  LiveCounter(const LiveCounter&) = delete;
+  ~LiveCounter() { --*live_; }
+  void operator()() const { ++*calls_; }
+  int* live_;
+  int* calls_;
+};
+
+TEST(EventFn, MoveOnlyCaptureFires) {
+  Kernel k;
+  int seen = 0;
+  auto payload = std::make_unique<int>(42);
+  k.schedule_at(Time::ns(1), [p = std::move(payload), &seen] { seen = *p; });
+  EXPECT_EQ(payload, nullptr);
+  k.run();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(EventFn, CaptureDestroyedExactlyOnceWhenFiredCancelledOrReset) {
+  int live = 0;
+  int calls = 0;
+  {
+    Kernel k;
+    k.schedule_at(Time::ns(1), LiveCounter(&live, &calls));  // fires
+    const EventId dead =
+        k.schedule_at(Time::ns(2), LiveCounter(&live, &calls));  // cancelled
+    k.schedule_at(Time::ns(50), LiveCounter(&live, &calls));  // dropped
+    EXPECT_EQ(live, 3);
+    EXPECT_TRUE(k.cancel(dead));
+    EXPECT_EQ(live, 2);
+    k.run(Time::ns(10));
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(live, 1);
+    k.reset();
+    EXPECT_EQ(live, 0);
+    // Pending at destruction: the kernel destroys it.
+    k.schedule_at(Time::ns(5), LiveCounter(&live, &calls));
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(EventFn, PoolGrowthRelocatesPendingCaptures) {
+  // Growing the slot pool moves every pending callable; the counts must
+  // still balance and each event must fire once with its own state.
+  int live = 0;
+  int calls = 0;
+  {
+    Kernel k;
+    for (int i = 0; i < 1000; ++i) {
+      k.schedule_at(Time::ns(i), LiveCounter(&live, &calls));
+    }
+    EXPECT_EQ(live, 1000);
+    k.run();
+    EXPECT_EQ(live, 0);
+  }
+  EXPECT_EQ(calls, 1000);
+}
+
+TEST(EventFn, HandlerSchedulesIntoItsOwnFreedSlot) {
+  // The firing event's slot is released before its handler runs, so the
+  // handler's own schedule_at reuses it while the handler (moved out of
+  // the slot) is still executing with its capture intact.
+  Kernel k;
+  std::vector<int> order;
+  auto tag = std::make_unique<int>(7);
+  k.schedule_at(Time::ns(1), [&k, &order, t = std::move(tag)] {
+    for (int i = 0; i < 3; ++i) {
+      k.schedule_in(Time::ns(1), [&order, i] { order.push_back(i); });
+    }
+    order.push_back(*t);  // the capture survived the slot's reuse
+  });
+  k.run();
+  EXPECT_EQ(order, (std::vector<int>{7, 0, 1, 2}));
+}
+
+TEST(EventFn, EmptyAndNullCallables) {
+  EventFn empty;
+  EXPECT_FALSE(empty);
+  EXPECT_TRUE(empty == nullptr);
+  EventFn from_null = nullptr;
+  EXPECT_FALSE(from_null);
+  std::function<void()> none;
+  EventFn from_empty_function = none;
+  EXPECT_FALSE(from_empty_function);
+  void (*no_fn)() = nullptr;
+  EventFn from_null_pointer = no_fn;
+  EXPECT_FALSE(from_null_pointer);
+  EXPECT_THROW(empty(), std::bad_function_call);
+
+  int n = 0;
+  EventFn a = [&n] { ++n; };
+  EventFn b = std::move(a);
+  EXPECT_FALSE(a);  // NOLINT: moved-from is empty by contract
+  b();
+  EXPECT_EQ(n, 1);
+  b = nullptr;
+  EXPECT_FALSE(b);
+}
+
+TEST(Timeout, RefiresStoredCallableOnEveryArm) {
+  Kernel k;
+  int fired = 0;
+  auto step = std::make_unique<int>(2);
+  Timeout t(k, [&fired, s = std::move(step)] { fired += *s; });
+  t.arm(Time::ns(10));
+  k.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(t.pending());
+  t.arm(Time::ns(5));
+  t.arm(Time::ns(7));  // re-arming replaces the pending firing
+  k.run();
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(k.now(), Time::ns(17));
+}
+
+TEST(PeriodicEvent, RefiresStoredMoveOnlyCallable) {
+  Kernel k;
+  std::vector<Time> at;
+  auto sink = std::make_unique<std::vector<Time>*>(&at);
+  PeriodicEvent p(k, Time::ns(3), Time::ns(4),
+                  [&k, s = std::move(sink)] { (*s)->push_back(k.now()); });
+  k.run(Time::ns(15));
+  EXPECT_EQ(at, (std::vector<Time>{Time::ns(3), Time::ns(7), Time::ns(11),
+                                   Time::ns(15)}));
 }
 
 }  // namespace

@@ -137,5 +137,11 @@ int main(int argc, char** argv) {
   std::fprintf(stdout, "papd: %s\n",
                drained ? "drained, exiting" : "drain deadline exceeded");
   std::fflush(stdout);
-  return drained ? 0 : 1;
+  if (!drained) {
+    // Workers still running were detached. Returning from main would run
+    // static destructors under them; leave without running any.
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  return 0;
 }
