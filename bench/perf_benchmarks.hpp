@@ -32,6 +32,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/e2e_analysis.hpp"
+#include "dram/controller.hpp"
 #include "dram/timing.hpp"
 #include "dram/wcd.hpp"
 #include "nc/bounds.hpp"
@@ -462,6 +463,46 @@ inline void BM_KernelSameTimestampBurst(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelSameTimestampBurst);
+
+inline void BM_DramWriteBatch(benchmark::State& state) {
+  // The DRAM controller alone (FR-FCFS, DDR3-1600, W_high = 55, N_wd = 16)
+  // under a write-heavy load: one read is outstanding at a time, and each
+  // read completion tops the posted write queue back up past W_high before
+  // issuing the next read. The controller therefore alternates one read
+  // with a full write batch while the write queue stays within N_wd of
+  // W_high: every write pick scans a deep queue for the oldest row hit and
+  // erases from its middle. Writes spread over 8 banks x 16 rows. One
+  // iteration is 1 ms of simulated time; items are writes served.
+  const dram::ControllerParams params = bench_controller();
+  const auto w_high = static_cast<std::size_t>(params.w_high);
+  std::int64_t writes = 0;
+  for (auto _ : state) {
+    sim::Kernel k;
+    dram::Controller c(k, dram::ddr3_1600(), dram::ControllerConfig{params});
+    Rng rng(0xD7A3);
+    std::uint64_t next_id = 0;
+    const auto submit = [&](dram::Op op) {
+      dram::Request r;
+      r.id = next_id++;
+      r.op = op;
+      r.posted = op == dram::Op::kWrite;
+      r.bank = static_cast<std::uint32_t>(rng.uniform(0, 7));
+      r.row = static_cast<std::uint32_t>(rng.uniform(0, 15));
+      c.submit(r);
+    };
+    const auto refill = [&] {
+      while (c.write_queue_depth() <= w_high) submit(dram::Op::kWrite);
+      submit(dram::Op::kRead);
+    };
+    c.set_completion_handler([&](const dram::Request&, Time) { refill(); });
+    k.schedule_at(Time::zero(), refill);
+    k.run(Time::ms(1));
+    writes += c.counters().get("write_hits") + c.counters().get("write_misses");
+    benchmark::DoNotOptimize(writes);
+  }
+  state.SetItemsProcessed(writes);
+}
+BENCHMARK(BM_DramWriteBatch);
 
 inline void BM_SimFamilyMix(benchmark::State& state) {
   // Whole simulator runs through scenario::run_parsed over the member mix

@@ -1,7 +1,8 @@
 // Perf-regression harness: runs the shared microbenchmark set and writes the
 // results to BENCH_nc.json (NC curve algebra + WCD analysis),
-// BENCH_sim.json (DES kernel) and BENCH_protocol.json (papd request parse +
-// cache key) in a stable, diff-friendly schema:
+// BENCH_sim.json (DES kernel, DRAM controller, whole simulator runs) and
+// BENCH_protocol.json (papd request parse + cache key) in a stable,
+// diff-friendly schema:
 //
 //   {
 //     "schema": "pap-bench-v1",
@@ -55,7 +56,8 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 };
 
 bool is_sim_bench(const std::string& name) {
-  return name.rfind("BM_Kernel", 0) == 0 || name.rfind("BM_Sim", 0) == 0;
+  return name.rfind("BM_Kernel", 0) == 0 || name.rfind("BM_Sim", 0) == 0 ||
+         name.rfind("BM_Dram", 0) == 0;
 }
 
 bool is_protocol_bench(const std::string& name) {

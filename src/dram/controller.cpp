@@ -254,7 +254,7 @@ void Controller::serve(Request r, bool is_hit) {
                                    counters_.value(kWriteMisses)),
                trace::CounterKind::kMonotonic);
   }
-  if (on_complete_) {
+  if (on_complete_ && !r.posted) {
     kernel_.schedule_at(
         completion, [this, r, completion] { on_complete_(r, completion); },
         /*priority=*/-1);

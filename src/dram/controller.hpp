@@ -21,6 +21,16 @@
 // meaningful cross-check (tested in tests/dram_wcd_test.cpp and
 // tests/dram_policy_zoo_test.cpp).
 //
+// Completions are reported only for requests that someone waits for: a
+// posted request (Request::posted, the SoC's writes) is served exactly like
+// any other, but schedules no completion event and never reaches the
+// completion handler.
+//
+// Both queues are flat vectors in arrival order. A pick erases from the
+// middle and keeps that order, so every policy's "oldest first" scans stay
+// valid. The queues are short (the write queue peaks near W_high), so a
+// pick's scan reads contiguous requests and the erase shifts a few of them.
+//
 // Which request is served next, when the engine changes direction and
 // whether rows stay open are delegated to a SchedulerPolicy; everything
 // the policies share (queues, refresh precedence, timing, tracing,
@@ -29,7 +39,6 @@
 // engine (bench/golden/ablation_dram_policy_frfcfs_ddr3.csv).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -146,7 +155,8 @@ class Controller {
   /// "injected_stalls" (fault::Injector's dram-stall handler binds here).
   void inject_stall(Time until);
 
-  /// Called with every completed request and its completion time.
+  /// Called with every completed non-posted request and its completion
+  /// time (posted requests complete silently, see Request::posted).
   void set_completion_handler(CompletionFn fn) { on_complete_ = std::move(fn); }
 
   /// Called on every read<->write/refresh mode change (for Fig. 5 traces).
@@ -171,8 +181,9 @@ class Controller {
   const SchedulerPolicy& policy() const { return *policy_; }
 
   // --- read-only scheduling state, for SchedulerPolicy implementations ---
-  const std::deque<Request>& read_queue() const { return read_q_; }
-  const std::deque<Request>& write_queue() const { return write_q_; }
+  /// Pending requests in arrival order (index 0 is the oldest).
+  const std::vector<Request>& read_queue() const { return read_q_; }
+  const std::vector<Request>& write_queue() const { return write_q_; }
   /// Would `r` hit an open row right now? False whenever row management
   /// (page policy or an auto-precharging scheduler policy) keeps rows
   /// closed.
@@ -219,8 +230,8 @@ class Controller {
   bool rows_closed_ = false;
 
   std::vector<Bank> banks_;
-  std::deque<Request> read_q_;
-  std::deque<Request> write_q_;
+  std::vector<Request> read_q_;  // arrival order
+  std::vector<Request> write_q_;
 
   Mode mode_ = Mode::kRead;
   bool busy_ = false;

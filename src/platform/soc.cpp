@@ -27,8 +27,9 @@ Soc::Soc(sim::Kernel& kernel, const SocConfig& config)
 
   dram_->set_completion_handler(
       [this](const dram::Request& r, Time completion) {
-        // Match the outstanding access and finish it after the return trip
-        // through the interconnect.
+        // Only reads report completions (writes are posted). Match the
+        // outstanding access and finish it after the return trip through
+        // the interconnect.
         for (std::size_t i = 0; i < outstanding_.size(); ++i) {
           if (outstanding_[i].first == r.id) {
             Outstanding out = std::move(outstanding_[i].second);
@@ -43,9 +44,7 @@ Soc::Soc(sim::Kernel& kernel, const SocConfig& config)
             return;
           }
         }
-        // Posted writes complete without a waiter.
-        PAP_CHECK_MSG(r.op == dram::Op::kWrite,
-                      "read completion for unknown request");
+        PAP_CHECK_MSG(false, "DRAM completion for unknown request");
       });
 }
 
@@ -207,6 +206,7 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
                         r.bank = bank;
                         r.row = row;
                         r.master = static_cast<std::uint32_t>(core);
+                        r.posted = write;
                         dram_->submit(r);
                       });
   if (posted) {

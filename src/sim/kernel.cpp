@@ -52,8 +52,20 @@ std::uint32_t Kernel::pop_root() {
 
 void Kernel::release_slot(std::uint32_t slot) {
   slots_[slot] = Slot{0, kNoPos};
-  fns_[slot] = nullptr;
+  fn_at(slot) = nullptr;
   free_.push_back(slot);
+}
+
+void Kernel::dispatch(std::uint32_t slot) {
+  ++executed_;
+  // The event is no longer pending (a self-cancel must fail), but the slot
+  // stays claimed until the call returns: pages never move, so the callable
+  // stays in place however many events the handler schedules.
+  slots_[slot].seq = 0;
+  ++running_;
+  fn_at(slot)();
+  --running_;
+  release_slot(slot);
 }
 
 EventId Kernel::enqueue(Time at, int priority) {
@@ -69,7 +81,9 @@ EventId Kernel::enqueue(Time at, int priority) {
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
-    fns_.emplace_back();
+    if ((slot & (kPageSlots - 1)) == 0) {
+      pages_.push_back(std::make_unique<EventFn[]>(kPageSlots));
+    }
   }
   slots_[slot].seq = seq;
   heap_.push_back(HeapEntry{at, rank_of(priority, seq), slot});
@@ -105,12 +119,7 @@ bool Kernel::step() {
   PAP_CHECK(at >= now_);
   const std::uint32_t slot = pop_root();
   now_ = at;
-  ++executed_;
-  // Detach fn and free the slot before running: the handler may schedule new
-  // events (which can legally reuse this slot) or re-enter the kernel.
-  EventFn fn = std::move(fns_[slot]);
-  release_slot(slot);
-  fn();
+  dispatch(slot);
   return true;
 }
 
@@ -127,11 +136,7 @@ std::uint64_t Kernel::run(Time until) {
     // events the handlers schedule *at* t join the batch (schedule_at
     // forbids the past, so nothing can sneak in before t).
     while (!heap_.empty() && heap_[0].at == t) {
-      const std::uint32_t slot = pop_root();
-      ++executed_;
-      EventFn fn = std::move(fns_[slot]);
-      release_slot(slot);
-      fn();
+      dispatch(pop_root());
       ++ran;
     }
   }
@@ -139,9 +144,10 @@ std::uint64_t Kernel::run(Time until) {
 }
 
 void Kernel::reset() {
+  PAP_CHECK_MSG(running_ == 0, "Kernel::reset() called from inside a handler");
   heap_.clear();
   slots_.clear();
-  fns_.clear();
+  pages_.clear();
   free_.clear();
   now_ = Time::zero();
   executed_ = 0;

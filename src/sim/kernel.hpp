@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,7 @@ class Kernel {
   template <typename F>
   EventId schedule_at(Time at, F&& fn, int priority = 0) {
     const EventId id = enqueue(at, priority);
-    fns_[id.slot_] = std::forward<F>(fn);
+    fn_at(id.slot_) = std::forward<F>(fn);
     return id;
   }
 
@@ -90,7 +91,8 @@ class Kernel {
   std::uint64_t events_executed() const { return executed_; }
 
   /// Drop all pending events and reset the clock (for test reuse).
-  /// The attached tracer (if any) stays attached.
+  /// The attached tracer (if any) stays attached. Calling it from inside a
+  /// handler is a PAP_CHECK failure: it would destroy the running callable.
   void reset();
 
   /// Attach an observability tracer (not owned; nullptr detaches). The
@@ -117,10 +119,18 @@ class Kernel {
   //  * Slots are recycled through a free list; the monotone `seq` stamped
   //    into each slot distinguishes a live event from a stale handle whose
   //    slot has been reused.
-  //  * An event's fn is an inline callable (EventFn) kept in a separate
-  //    array indexed by slot: the capture lives in the pool itself, so once
-  //    the pool has grown to the run's peak event count, scheduling and
-  //    firing touch no heap memory at all.
+  //  * An event's fn is an inline callable (EventFn) kept in a paged pool
+  //    indexed by slot: page slot / kPageSlots, entry slot % kPageSlots.
+  //    The capture lives in the pool itself, so once the pool has grown to
+  //    the run's peak event count, scheduling and firing touch no heap
+  //    memory at all. Growth appends a page and never moves an existing
+  //    one, so a callable keeps its address for as long as it is stored.
+  //  * Dispatch calls the callable where it lives, with no relocation out
+  //    of the pool. Its slot's seq is cleared before the call (a handler
+  //    cancelling its own EventId gets false) and the slot is released
+  //    only after the call returns: the handler may schedule any number of
+  //    events, growing the pool, yet none can land in the running slot and
+  //    overwrite the callable (or its capture) while it executes.
   //  * 4-ary beats binary here: the heap is shallower (log_4 n levels).
   struct HeapEntry {
     Time at;
@@ -161,11 +171,21 @@ class Kernel {
   std::uint32_t pop_root();
   /// Return a slot to the free list (clears seq and releases fn).
   void release_slot(std::uint32_t slot);
+  /// Run the popped event of `slot` in place, then release the slot.
+  void dispatch(std::uint32_t slot);
+
+  static constexpr std::uint32_t kPageBits = 6;
+  static constexpr std::uint32_t kPageSlots = 1u << kPageBits;
+  EventFn& fn_at(std::uint32_t slot) {
+    return pages_[slot >> kPageBits][slot & (kPageSlots - 1)];
+  }
 
   std::vector<HeapEntry> heap_;  // 4-ary min-heap by (at, rank)
   std::vector<Slot> slots_;
-  std::vector<EventFn> fns_;         // indexed by slot
+  // EventFn pages of kPageSlots each, indexed by slot; pages never move.
+  std::vector<std::unique_ptr<EventFn[]>> pages_;
   std::vector<std::uint32_t> free_;  // recycled slot indices
+  int running_ = 0;  // handlers executing (nested run()/step() included)
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;

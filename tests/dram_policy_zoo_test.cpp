@@ -52,6 +52,38 @@ TEST_P(PolicyZoo, EveryRequestCompletes) {
   EXPECT_EQ(c.write_queue_depth(), 0u);
 }
 
+TEST_P(PolicyZoo, CompletionHandlerSeesEveryNonPostedWriteOnly) {
+  // A posted request is served but never reported; every other request,
+  // writes included, reaches the handler exactly once.
+  sim::Kernel k;
+  Controller c(k, ddr3_1600(),
+               ControllerConfig{}.policy(GetParam()).w_low(1));
+  std::vector<int> seen(40, 0);
+  c.set_completion_handler([&](const Request& r, Time) { ++seen[r.id]; });
+  k.schedule_at(Time::ns(10), [&c] {
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      Request r;
+      r.id = i;
+      r.op = i % 4 == 3 ? Op::kRead : Op::kWrite;
+      r.posted = r.op == Op::kWrite && i % 2 == 0;
+      r.bank = static_cast<std::uint32_t>(i % 3);
+      r.row = static_cast<std::uint32_t>(i % 5);
+      c.submit(r);
+    }
+  });
+  k.run(Time::us(50));
+  std::int64_t served = 0;
+  for (const char* n :
+       {"read_hits", "read_misses", "write_hits", "write_misses"}) {
+    served += c.counters().get(n);
+  }
+  EXPECT_EQ(served, 40);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    const bool posted = i % 4 != 3 && i % 2 == 0;
+    EXPECT_EQ(seen[i], posted ? 0 : 1) << "request " << i;
+  }
+}
+
 TEST_P(PolicyZoo, SameSeedSameCompletionTimeline) {
   auto run = [&] {
     sim::Kernel k;

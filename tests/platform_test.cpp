@@ -55,6 +55,41 @@ TEST(Soc, DramPathIncludesInterconnectBothWays) {
                      cfg.dram.read_miss_closed_completion());
 }
 
+TEST(Soc, PostedWriteSchedulesNoDramCompletionEvent) {
+  // Exact kernel events per DRAM access. A read (L1 and L3 miss) costs five:
+  // the interconnect hop that submits it, the controller's dispatch, the
+  // DRAM completion (priority -1), the dispatch after the data burst (which
+  // finds the queues empty and idles) and the finish after the return trip
+  // to the core. A posted write costs six and no completion: the submit
+  // hop, the core's retirement at hand-off, then (w_low = 1, so one queued
+  // write starts a batch) the switch to write mode, its service, the end of
+  // the batch and the idle read-mode dispatch. Each access runs alone,
+  // well before the first refresh (tREFI = 7.8 us).
+  sim::Kernel k;
+  SocConfig cfg;
+  cfg.dram_ctrl = dram::ControllerConfig{}.w_low(1);
+  Soc soc(k, cfg);
+  const auto& dram = soc.dram_controller().counters();
+  int retired = 0;
+  std::uint64_t before = 0;
+  for (int i = 0; i < 4; ++i) {
+    const bool write = i % 2 == 1;
+    const auto addr = static_cast<cache::Addr>(i + 1) << 20;  // cold line
+    soc.memory_access(0, addr, write, [&retired](Time) { ++retired; });
+    k.run(Time::us(i + 1));
+    EXPECT_EQ(retired, i + 1);
+    EXPECT_EQ(soc.counters().get("dram_accesses"), i + 1);
+    EXPECT_EQ(k.events_executed() - before, write ? 6u : 5u)
+        << (write ? "posted write " : "read ") << i;
+    before = k.events_executed();
+  }
+  // Both writes were served by the DRAM, not left queued.
+  EXPECT_EQ(dram.get("write_hits") + dram.get("write_misses"), 2);
+  EXPECT_EQ(dram.get("read_hits") + dram.get("read_misses"), 2);
+  EXPECT_EQ(soc.dram_controller().write_queue_depth(), 0u);
+  EXPECT_LT(k.now(), cfg.dram.tREFI);
+}
+
 TEST(Soc, SchemeIdsSeparateL3Ownership) {
   sim::Kernel k;
   SocConfig cfg;

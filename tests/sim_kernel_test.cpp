@@ -392,9 +392,10 @@ TEST(EventFn, CaptureDestroyedExactlyOnceWhenFiredCancelledOrReset) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(EventFn, PoolGrowthRelocatesPendingCaptures) {
-  // Growing the slot pool moves every pending callable; the counts must
-  // still balance and each event must fire once with its own state.
+TEST(EventFn, PoolGrowthKeepsPendingCaptures) {
+  // Growing the slot pool appends pages under many pending callables; the
+  // counts must still balance and each event must fire once with its own
+  // state.
   int live = 0;
   int calls = 0;
   {
@@ -409,10 +410,10 @@ TEST(EventFn, PoolGrowthRelocatesPendingCaptures) {
   EXPECT_EQ(calls, 1000);
 }
 
-TEST(EventFn, HandlerSchedulesIntoItsOwnFreedSlot) {
-  // The firing event's slot is released before its handler runs, so the
-  // handler's own schedule_at reuses it while the handler (moved out of
-  // the slot) is still executing with its capture intact.
+TEST(EventFn, HandlerSchedulingKeepsItsRunningCapture) {
+  // The firing event runs in place and its slot is released only when the
+  // handler returns, so the handler's own schedule_at calls take other
+  // slots and its capture stays intact.
   Kernel k;
   std::vector<int> order;
   auto tag = std::make_unique<int>(7);
@@ -424,6 +425,91 @@ TEST(EventFn, HandlerSchedulesIntoItsOwnFreedSlot) {
   });
   k.run();
   EXPECT_EQ(order, (std::vector<int>{7, 0, 1, 2}));
+}
+
+TEST(EventFn, HandlerGrowingThePoolKeepsItsCapture) {
+  // The handler runs in place in its pool slot and schedules more than a
+  // page of events, so the pool grows while it executes; pages never move,
+  // so the running capture (heap payload and inline words alike) must read
+  // the same after the growth as before it.
+  Kernel k;
+  std::vector<int> order;
+  auto payload = std::make_unique<int>(41);
+  int after = 0;
+  k.schedule_at(Time::ns(1), [&k, &order, &after, p = std::move(payload),
+                              a = 0x1111, b = 0x2222, c = 0x3333] {
+    for (int i = 0; i < 200; ++i) {
+      k.schedule_in(Time::ns(1 + i), [&order, i] { order.push_back(i); });
+    }
+    after = *p + 1 + (a == 0x1111) + (b == 0x2222) + (c == 0x3333) - 3;
+  });
+  k.run();
+  EXPECT_EQ(after, 42);
+  ASSERT_EQ(order.size(), 200u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<int>(i));
+  }
+}
+
+TEST(EventFn, CaptureLivesUntilItsHandlerReturns) {
+  // A fired capture is destroyed exactly once, right after its handler
+  // returns; while the handler runs it is still alive in its slot.
+  int live = 0;
+  int calls = 0;
+  int live_during = -1;
+  {
+    Kernel k;
+    k.schedule_at(Time::ns(1), [&, c = LiveCounter(&live, &calls)] {
+      c();
+      live_during = live;
+      k.schedule_in(Time::ns(1), LiveCounter(&live, &calls));
+    });
+    EXPECT_EQ(live, 1);
+    k.run(Time::ns(1));
+    EXPECT_EQ(live_during, 1);  // the running capture, not yet destroyed
+    EXPECT_EQ(live, 1);         // only the event it scheduled is left
+    k.run();
+    EXPECT_EQ(live, 0);
+  }
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(Kernel, HandlerCancellingItselfGetsFalse) {
+  Kernel k;
+  EventId self;
+  int result = -1;
+  self = k.schedule_at(Time::ns(4), [&] { result = k.cancel(self) ? 1 : 0; });
+  k.run();
+  EXPECT_EQ(result, 0);
+  EXPECT_EQ(k.events_executed(), 1u);
+}
+
+TEST(Kernel, ScheduleAtNowFiresInPriorityThenSequenceOrder) {
+  // Events a handler schedules at now() join the running timestamp and
+  // merge with the ones already pending there by (priority, seq).
+  Kernel k;
+  std::vector<int> order;
+  k.schedule_at(Time::ns(2), [&] {
+    order.push_back(0);
+    k.schedule_at(Time::ns(2), [&order] { order.push_back(5); }, 2);
+    k.schedule_at(Time::ns(2), [&order] { order.push_back(1); }, -1);
+    k.schedule_at(Time::ns(2), [&order] { order.push_back(3); }, 1);
+    k.schedule_at(Time::ns(2), [&order] { order.push_back(2); }, -1);
+  });
+  k.schedule_at(Time::ns(2), [&order] { order.push_back(4); }, 1);
+  k.schedule_at(Time::ns(3), [&order] { order.push_back(6); }, -5);
+  k.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 3, 5, 6}));
+}
+
+TEST(KernelDeathTest, ResetFromInsideAHandlerAborts) {
+  EXPECT_DEATH(
+      {
+        Kernel k;
+        k.schedule_at(Time::ns(1), [&k] { k.reset(); });
+        k.run();
+      },
+      "called from inside a handler");
 }
 
 TEST(EventFn, EmptyAndNullCallables) {
