@@ -464,6 +464,50 @@ inline void BM_KernelSameTimestampBurst(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSameTimestampBurst);
 
+inline void BM_KernelNearFuture(benchmark::State& state) {
+  // The simulator's queue shape on the kernel alone: 12 chains each
+  // reschedule themselves 0-40 ns ahead (an access completing and the next
+  // one issuing), so about a dozen events are pending and a new one lands
+  // near the front of the queue; 3 timers re-arm every 2-8 us, far behind
+  // the chains, as refresh and regulation periods do. One iteration runs
+  // 100,000 chain events.
+  struct Ctx {
+    sim::Kernel k;
+    Rng rng{0x5EED};
+    std::int64_t left = 100'000;
+  };
+  struct Hop {
+    Ctx* c;
+    void operator()() const {
+      if (--c->left > 0) {
+        c->k.schedule_in(Time::ns(c->rng.uniform(0, 40)), Hop{c});
+      }
+    }
+  };
+  struct Timer {
+    Ctx* c;
+    Time period;
+    void operator()() const {
+      if (c->left > 0) c->k.schedule_in(period, Timer{c, period});
+    }
+  };
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    Ctx c;
+    for (int i = 0; i < 12; ++i) {
+      c.k.schedule_at(Time::ns(c.rng.uniform(0, 40)), Hop{&c});
+    }
+    for (int i = 1; i <= 3; ++i) {
+      c.k.schedule_at(Time::us(2 * i), Timer{&c, Time::us(2 * i)});
+    }
+    c.k.run();
+    events += static_cast<std::int64_t>(c.k.events_executed());
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_KernelNearFuture);
+
 inline void BM_DramWriteBatch(benchmark::State& state) {
   // The DRAM controller alone (FR-FCFS, DDR3-1600, W_high = 55, N_wd = 16)
   // under a write-heavy load: one read is outstanding at a time, and each

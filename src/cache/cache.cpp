@@ -13,9 +13,7 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   tags_.assign(n, kNoTag);
   last_use_.assign(n, 0);
   owner_.assign(n, 0);
-  filter_ = [ways = config_.ways](RequesterId, std::uint32_t) {
-    return ways >= 64 ? ~0ull : ((1ull << ways) - 1);
-  };
+  all_ways_ = config_.ways >= 64 ? ~0ull : ((1ull << config_.ways) - 1);
 }
 
 void Cache::set_allocation_filter(AllocationFilter filter) {
@@ -54,7 +52,7 @@ AccessResult Cache::access(RequesterId who, Addr addr) {
   }
   ++counts.misses;
 
-  const std::uint64_t mask = filter_(who, set);
+  const std::uint64_t mask = filter_ ? filter_(who, set) : all_ways_;
   if (mask == 0) {
     // No allocation rights: the access bypasses the cache.
     ++counts.bypasses;

@@ -58,7 +58,9 @@ class Cache {
  public:
   explicit Cache(const CacheConfig& config);
 
-  /// Unrestricted allocation (all ways) — the unpartitioned baseline.
+  /// Restrict allocation by `filter`. Until one is installed a requester
+  /// may allocate into every way — the unpartitioned baseline, which costs
+  /// no call per miss.
   void set_allocation_filter(AllocationFilter filter);
 
   /// Access one line-aligned address. On a miss with at least one allowed
@@ -128,7 +130,8 @@ class Cache {
   CacheConfig config_;
   unsigned line_shift_ = 0;      // log2(line_bytes)
   std::uint32_t set_mask_ = 0;   // sets - 1
-  AllocationFilter filter_;
+  AllocationFilter filter_;      // empty until set: every way allowed
+  std::uint64_t all_ways_ = 0;   // the unpartitioned mask
   std::vector<Addr> tags_;                // kNoTag = invalid way
   std::vector<std::uint64_t> last_use_;  // LRU stamp (tick_ of last access)
   std::vector<RequesterId> owner_;        // requester that allocated the line

@@ -191,35 +191,41 @@ void Soc::memory_access(int core, cache::Addr addr, bool write, DoneFn done) {
   }
   const auto [bank, row] = addr_to_bank_row(addr);
   const std::uint64_t req_id = next_req_id_++;
-  const bool posted = write;
-  if (!posted) {
-    // Reads stall the issuing core until the data returns ("the former are
-    // on the critical path for the master requesting them").
-    outstanding_.emplace_back(req_id,
-                              Outstanding{std::move(done), issued, core});
-  }
-  kernel_.schedule_at(admit + cfg_.interconnect_latency,
-                      [this, req_id, bank, row, write, core] {
-                        dram::Request r;
-                        r.id = req_id;
-                        r.op = write ? dram::Op::kWrite : dram::Op::kRead;
-                        r.bank = bank;
-                        r.row = row;
-                        r.master = static_cast<std::uint32_t>(core);
-                        r.posted = write;
-                        dram_->submit(r);
-                      });
-  if (posted) {
+  const Time at = admit + cfg_.interconnect_latency;
+  if (write) {
     // Writes are posted: the core retires them once handed to the memory
-    // system ("the latter are not, and can be deferred", Sec. IV-A).
-    const Time finish = admit + cfg_.interconnect_latency;
-    kernel_.schedule_at(finish, [this, core, issued, finish,
-                                 done = std::move(done)] {
-      const Time latency = finish - issued;
+    // system ("the latter are not, and can be deferred", Sec. IV-A). The
+    // hand-off and the retirement are one event. As two events they would
+    // share (at, priority 0) with consecutive seqs, and submit() schedules
+    // nothing at a negative priority, so nothing could run between them:
+    // one event keeps the order exact.
+    kernel_.schedule_at(at, [this, req_id, bank, row, core, issued,
+                             done = std::move(done)] {
+      submit_to_dram(req_id, bank, row, core, /*write=*/true);
+      const Time latency = kernel_.now() - issued;
       core_latency_[static_cast<std::size_t>(core)].add(latency);
       if (done) done(latency);
     });
+    return;
   }
+  // Reads stall the issuing core until the data returns ("the former are
+  // on the critical path for the master requesting them").
+  outstanding_.emplace_back(req_id, Outstanding{std::move(done), issued, core});
+  kernel_.schedule_at(at, [this, req_id, bank, row, core] {
+    submit_to_dram(req_id, bank, row, core, /*write=*/false);
+  });
+}
+
+void Soc::submit_to_dram(std::uint64_t req_id, std::uint32_t bank,
+                         std::uint32_t row, int core, bool write) {
+  dram::Request r;
+  r.id = req_id;
+  r.op = write ? dram::Op::kWrite : dram::Op::kRead;
+  r.bank = bank;
+  r.row = row;
+  r.master = static_cast<std::uint32_t>(core);
+  r.posted = write;
+  dram_->submit(r);
 }
 
 }  // namespace pap::platform

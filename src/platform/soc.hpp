@@ -125,6 +125,9 @@ class Soc {
 
   std::pair<std::uint32_t, std::uint32_t> addr_to_bank_row(
       cache::Addr addr) const;
+  /// Hand an access to the DRAM controller (writes are posted).
+  void submit_to_dram(std::uint64_t req_id, std::uint32_t bank,
+                      std::uint32_t row, int core, bool write);
 
   sim::Kernel& kernel_;
   SocConfig cfg_;

@@ -1,5 +1,7 @@
 #include "sim/kernel.hpp"
 
+#include <algorithm>
+
 #include "trace/tracer.hpp"
 
 namespace pap::sim {
@@ -10,7 +12,7 @@ void Kernel::set_tracer(trace::Tracer* tracer) {
 }
 
 void Kernel::sift_up(std::uint32_t pos) {
-  const HeapEntry e = heap_[pos];
+  const Entry e = heap_[pos];
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / 4;
     if (!before(e, heap_[parent])) break;
@@ -21,7 +23,7 @@ void Kernel::sift_up(std::uint32_t pos) {
 }
 
 void Kernel::sift_down(std::uint32_t pos) {
-  const HeapEntry e = heap_[pos];
+  const Entry e = heap_[pos];
   const auto n = static_cast<std::uint32_t>(heap_.size());
   for (;;) {
     const std::uint32_t first = 4 * pos + 1;
@@ -38,34 +40,81 @@ void Kernel::sift_down(std::uint32_t pos) {
   place(pos, e);
 }
 
-std::uint32_t Kernel::pop_root() {
-  const std::uint32_t slot = heap_[0].slot;
-  const HeapEntry last = heap_.back();
+void Kernel::push_heap(const Entry& e) {
+  heap_.push_back(e);
+  sift_up(static_cast<std::uint32_t>(heap_.size()) - 1);
+}
+
+void Kernel::erase_heap(std::uint32_t pos) {
+  // Move the last leaf into the vacated position and restore the heap
+  // property in whichever direction it was violated.
+  const Entry moved = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) {
-    place(0, last);
-    sift_down(0);
+  if (pos == heap_.size()) return;
+  place(pos, moved);
+  sift_down(pos);
+  if (pos > 0) sift_up(pos);
+}
+
+void Kernel::insert_near(const Entry& e) {
+  if (near_n_ == kNearCap) {
+    // Full: the latest of the near entries and `e` moves to the heap. It
+    // fires before every heap entry, so it becomes the heap minimum.
+    if (before(near_[0], e)) {
+      push_heap(e);
+      return;
+    }
+    push_heap(near_[0]);
+    std::copy(near_ + 1, near_ + kNearCap, near_);
+    --near_n_;
   }
-  slots_[slot].heap_pos = kNoPos;
-  return slot;
+  // Sorted latest-first: shift the entries that fire before `e` up by one.
+  std::uint32_t i = near_n_++;
+  while (i > 0 && before(near_[i - 1], e)) {
+    near_[i] = near_[i - 1];
+    --i;
+  }
+  near_[i] = e;
+  slots_[e.slot].heap_pos = kInNear;
+}
+
+void Kernel::refill() {
+  const auto n = static_cast<std::uint32_t>(heap_.size());
+  std::copy(heap_.begin(), heap_.end(), near_);
+  std::sort(near_, near_ + n,
+            [](const Entry& a, const Entry& b) { return before(b, a); });
+  for (std::uint32_t i = 0; i < n; ++i) {
+    slots_[near_[i].slot].heap_pos = kInNear;
+  }
+  near_n_ = n;
+  heap_.clear();
 }
 
 void Kernel::release_slot(std::uint32_t slot) {
-  slots_[slot] = Slot{0, kNoPos};
+  slots_[slot] = Slot{0, 0};
   fn_at(slot) = nullptr;
   free_.push_back(slot);
 }
 
-void Kernel::dispatch(std::uint32_t slot) {
+void Kernel::dispatch_next() {
+  Entry e;
+  if (near_n_ > 0) {
+    e = near_[--near_n_];
+  } else {
+    e = heap_[0];
+    erase_heap(0);
+  }
+  PAP_CHECK(e.at >= now_);
+  now_ = e.at;
   ++executed_;
   // The event is no longer pending (a self-cancel must fail), but the slot
   // stays claimed until the call returns: pages never move, so the callable
   // stays in place however many events the handler schedules.
-  slots_[slot].seq = 0;
+  slots_[e.slot].seq = 0;
   ++running_;
-  fn_at(slot)();
+  fn_at(e.slot)();
   --running_;
-  release_slot(slot);
+  release_slot(e.slot);
 }
 
 EventId Kernel::enqueue(Time at, int priority) {
@@ -86,8 +135,12 @@ EventId Kernel::enqueue(Time at, int priority) {
     }
   }
   slots_[slot].seq = seq;
-  heap_.push_back(HeapEntry{at, rank_of(priority, seq), slot});
-  sift_up(static_cast<std::uint32_t>(heap_.size()) - 1);
+  const Entry e{at, rank_of(priority, seq), slot};
+  if (heap_.empty() || before(e, heap_[0])) {
+    insert_near(e);
+  } else {
+    push_heap(e);
+  }
   return EventId{seq, slot};
 }
 
@@ -97,54 +150,42 @@ bool Kernel::cancel(EventId id) {
   // fired or already cancelled, possibly with the slot since recycled) fails
   // the seq comparison and is rejected without touching any state.
   if (id.slot_ >= slots_.size()) return false;
-  if (slots_[id.slot_].seq != id.seq_) return false;
-  // In-place heap removal: swap the last leaf into the vacated position and
-  // restore the heap property in whichever direction it was violated.
-  const std::uint32_t pos = slots_[id.slot_].heap_pos;
-  const auto last_pos = static_cast<std::uint32_t>(heap_.size()) - 1;
-  const HeapEntry moved = heap_[last_pos];
-  heap_.pop_back();
-  if (pos != last_pos) {
-    place(pos, moved);
-    sift_down(pos);
-    sift_up(pos);
+  const Slot& s = slots_[id.slot_];
+  if (s.seq != id.seq_) return false;
+  if (s.heap_pos == kInNear) {
+    Entry* const pos = std::find_if(
+        near_, near_ + near_n_,
+        [slot = id.slot_](const Entry& e) { return e.slot == slot; });
+    std::copy(pos + 1, near_ + near_n_, pos);
+    --near_n_;
+  } else {
+    erase_heap(s.heap_pos);
   }
   release_slot(id.slot_);
   return true;
 }
 
 bool Kernel::step() {
-  if (heap_.empty()) return false;
-  const Time at = heap_[0].at;
-  PAP_CHECK(at >= now_);
-  const std::uint32_t slot = pop_root();
-  now_ = at;
-  dispatch(slot);
+  if (next() == nullptr) return false;
+  dispatch_next();
   return true;
 }
 
 std::uint64_t Kernel::run(Time until) {
   std::uint64_t ran = 0;
-  while (!heap_.empty()) {
-    const Time t = heap_[0].at;
-    // Peek: do not advance past `until`.
-    if (t > until) break;
-    PAP_CHECK(t >= now_);
-    now_ = t;
-    // Drain the whole timestamp as one batch: same-t events run in
-    // (priority, insertion) order without re-checking `until` per event, and
-    // events the handlers schedule *at* t join the batch (schedule_at
-    // forbids the past, so nothing can sneak in before t).
-    while (!heap_.empty() && heap_[0].at == t) {
-      dispatch(pop_root());
-      ++ran;
-    }
+  // Events a handler schedules at the current time join the run in
+  // (priority, seq) order: schedule_at forbids the past, so nothing can
+  // sneak in before them.
+  for (const Entry* e = next(); e != nullptr && e->at <= until; e = next()) {
+    dispatch_next();
+    ++ran;
   }
   return ran;
 }
 
 void Kernel::reset() {
   PAP_CHECK_MSG(running_ == 0, "Kernel::reset() called from inside a handler");
+  near_n_ = 0;
   heap_.clear();
   slots_.clear();
   pages_.clear();

@@ -27,8 +27,9 @@ namespace pap::sim {
 
 /// An event's action: a move-only callable stored inline in the event
 /// slot, so scheduling never allocates. 72 bytes hold the largest capture on
-/// the simulator's per-access path — a Soc completion event carrying the
-/// core's completion callback (Soc::DoneFn) plus issue and finish instants.
+/// the simulator's per-access path — a Soc posted-write event carrying the
+/// request's DRAM coordinates, the core's completion callback (Soc::DoneFn)
+/// and the issue instant.
 /// A larger capture fails to compile; capture a pointer or an index
 /// instead (see inline_fn.hpp).
 using EventFn = InlineFn<void(), 72>;
@@ -74,10 +75,11 @@ class Kernel {
     return schedule_at(now_ + delay, std::forward<F>(fn), priority);
   }
 
-  /// Cancel a pending event in O(log n): the entry is removed from the heap
-  /// in place (no tombstones linger in the queue). Returns false (and
-  /// changes nothing) when the event already ran or was already cancelled —
-  /// stale handles are safe.
+  /// Cancel a pending event: the entry is removed in place from whichever
+  /// tier holds it (no tombstones linger in the queue). O(log n) in the
+  /// far tier, a scan of at most kNearCap entries in the near tier.
+  /// Returns false (and changes nothing) when the event already ran or was
+  /// already cancelled — stale handles are safe.
   bool cancel(EventId id);
 
   /// Run until the event queue drains or `until` is reached (events at
@@ -87,7 +89,7 @@ class Kernel {
   /// Run exactly one event if any is pending; returns false when drained.
   bool step();
 
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return near_n_ == 0 && heap_.empty(); }
   std::uint64_t events_executed() const { return executed_; }
 
   /// Drop all pending events and reset the clock (for test reuse).
@@ -104,21 +106,36 @@ class Kernel {
   trace::Tracer* tracer() const { return tracer_; }
 
  private:
-  // Event storage: a slot pool plus a 4-ary min-heap that carries each
+  // Event storage: a slot pool plus a two-tier queue that carries each
   // event's ordering key.
   //
-  //  * A heap entry is the event's key and slot, so a sift compares and
-  //    moves 24-byte entries inside one contiguous array and never reads
-  //    the pool. The key is `at` plus `rank`, which packs (priority, seq)
-  //    into one integer: ordering by (at, rank) is ordering by
-  //    (at, priority, seq).
-  //  * Each slot records its heap position, so cancel() removes the entry
-  //    in place (swap with the last leaf + one sift) instead of leaving a
-  //    tombstone to filter at pop time. Cancel-heavy workloads (timeouts,
-  //    PeriodicEvent churn) no longer inflate the queue.
+  //  * A queue entry is the event's key and slot, so ordering compares and
+  //    moves 24-byte entries and never reads the pool. The key is `at` plus
+  //    `rank`, which packs (priority, seq) into one integer: ordering by
+  //    (at, rank) is ordering by (at, priority, seq).
+  //  * Near tier: the soonest events, at most kNearCap of them, in a
+  //    fixed array sorted latest-first. The next event is the last entry,
+  //    so a pop is a decrement. A simulator event usually lands close to
+  //    the front (on average fewer than two pending events fire before
+  //    it), so an insert scanning from the back costs a couple of compares
+  //    and a short move.
+  //  * Far tier: an indexed 4-ary min-heap of everything later. Each of
+  //    its slots records its heap position, so cancel() removes the entry
+  //    in place (swap with the last leaf + one sift).
+  //  * Invariant: every near entry fires before every heap entry. An
+  //    insert that fires before the heap minimum (or any insert while the
+  //    heap is empty) goes to the near tier; when that tier is full, the
+  //    latest of its entries and the new one moves to the heap, where it
+  //    becomes the minimum. Once the near tier drains, the next event is
+  //    the heap's root, and a heap of at most kNearCap entries moves into
+  //    the near tier whole. Every step keeps the exact (at, priority, seq)
+  //    order. A workload that schedules far ahead (trace replay schedules
+  //    every record up front) keeps a large heap and pays O(log n) per
+  //    event there, as before, while the events its handlers schedule a
+  //    short delay ahead still land in the near tier.
   //  * Slots are recycled through a free list; the monotone `seq` stamped
   //    into each slot distinguishes a live event from a stale handle whose
-  //    slot has been reused.
+  //    slot has been reused, in either tier.
   //  * An event's fn is an inline callable (EventFn) kept in a paged pool
   //    indexed by slot: page slot / kPageSlots, entry slot % kPageSlots.
   //    The capture lives in the pool itself, so once the pool has grown to
@@ -131,8 +148,7 @@ class Kernel {
   //    only after the call returns: the handler may schedule any number of
   //    events, growing the pool, yet none can land in the running slot and
   //    overwrite the callable (or its capture) while it executes.
-  //  * 4-ary beats binary here: the heap is shallower (log_4 n levels).
-  struct HeapEntry {
+  struct Entry {
     Time at;
     std::uint64_t rank = 0;  // rank_of(priority, seq)
     std::uint32_t slot = 0;
@@ -147,32 +163,46 @@ class Kernel {
   }
   struct Slot {
     std::uint64_t seq = 0;       // of the pending event; 0 = free slot
-    std::uint32_t heap_pos = 0;  // index into heap_ while scheduled
+    std::uint32_t heap_pos = 0;  // index into heap_, or kInNear
   };
 
-  static constexpr std::uint32_t kNoPos = 0xffffffffu;
+  static constexpr std::uint32_t kInNear = 0xffffffffu;
+  static constexpr std::uint32_t kNearCap = 32;
 
   /// True when `a` fires strictly before `b` ((at, priority, seq)
   /// lexicographic).
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
+  static bool before(const Entry& a, const Entry& b) {
     return a.at < b.at || (a.at == b.at && a.rank < b.rank);
   }
   /// Store `e` at heap position `pos` and record the position in its slot.
-  void place(std::uint32_t pos, const HeapEntry& e) {
+  void place(std::uint32_t pos, const Entry& e) {
     heap_[pos] = e;
     slots_[e.slot].heap_pos = pos;
   }
   /// Claim a slot for an event at (at, priority) and insert it into the
-  /// heap; the caller then stores the event's fn in fns_[slot].
+  /// queue; the caller then stores the event's fn in fn_at(slot).
   EventId enqueue(Time at, int priority);
+  void insert_near(const Entry& e);
+  void push_heap(const Entry& e);
   void sift_up(std::uint32_t pos);
   void sift_down(std::uint32_t pos);
-  /// Detach the heap root and return its slot (heap_pos becomes kNoPos).
-  std::uint32_t pop_root();
+  /// Remove the heap entry at `pos` (its slot keeps a stale position).
+  void erase_heap(std::uint32_t pos);
+  /// The next event to fire, or nullptr when none is pending.
+  const Entry* next() {
+    if (near_n_ > 0) return &near_[near_n_ - 1];
+    if (heap_.empty()) return nullptr;
+    if (heap_.size() > kNearCap) return &heap_[0];
+    refill();
+    return &near_[near_n_ - 1];
+  }
+  /// Move every heap entry (at most kNearCap) into the drained near tier.
+  void refill();
   /// Return a slot to the free list (clears seq and releases fn).
   void release_slot(std::uint32_t slot);
-  /// Run the popped event of `slot` in place, then release the slot.
-  void dispatch(std::uint32_t slot);
+  /// Pop the event next() returned (it must be non-null), advance the
+  /// clock to it, run it in place, then release its slot.
+  void dispatch_next();
 
   static constexpr std::uint32_t kPageBits = 6;
   static constexpr std::uint32_t kPageSlots = 1u << kPageBits;
@@ -180,7 +210,9 @@ class Kernel {
     return pages_[slot >> kPageBits][slot & (kPageSlots - 1)];
   }
 
-  std::vector<HeapEntry> heap_;  // 4-ary min-heap by (at, rank)
+  Entry near_[kNearCap];  // latest-first; near_[near_n_ - 1] fires next
+  std::uint32_t near_n_ = 0;
+  std::vector<Entry> heap_;  // 4-ary min-heap by (at, rank)
   std::vector<Slot> slots_;
   // EventFn pages of kPageSlots each, indexed by slot; pages never move.
   std::vector<std::unique_ptr<EventFn[]>> pages_;

@@ -79,6 +79,25 @@ TEST(Cache, EmptyMaskBypasses) {
   EXPECT_EQ(c.bypasses(0), 2);
 }
 
+TEST(Cache, UnfilteredSixtyFourWaysAllocateEveryWay) {
+  // Without a filter every way is allowed; at 64 ways the mask is all ones
+  // (a shift by 64 would be undefined), so each way fills before the first
+  // eviction, and the 65th line evicts the least recently used one.
+  Cache c(CacheConfig{1, 64, 64});
+  for (Addr line = 0; line < 64; ++line) {
+    const auto r = c.access(0, line * 64);
+    EXPECT_TRUE(r.allocated);
+    EXPECT_FALSE(r.evicted.has_value()) << "line " << line;
+  }
+  EXPECT_EQ(c.ways_owned_by(0, 0), ~0ull);
+  EXPECT_TRUE(c.access(0, 0).hit);  // line 1 becomes the LRU line
+  const auto r = c.access(0, 64 * 64);
+  ASSERT_TRUE(r.evicted.has_value());
+  EXPECT_EQ(*r.evicted, 64u);
+  EXPECT_EQ(c.misses(0), 65);
+  EXPECT_EQ(c.bypasses(0), 0);
+}
+
 TEST(Cache, OccupancyPerRequester) {
   Cache c(CacheConfig{8, 4, 64});
   for (Addr a = 0; a < 8 * 64; a += 64) c.access(1, a);

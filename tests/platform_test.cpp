@@ -60,11 +60,11 @@ TEST(Soc, PostedWriteSchedulesNoDramCompletionEvent) {
   // the interconnect hop that submits it, the controller's dispatch, the
   // DRAM completion (priority -1), the dispatch after the data burst (which
   // finds the queues empty and idles) and the finish after the return trip
-  // to the core. A posted write costs six and no completion: the submit
-  // hop, the core's retirement at hand-off, then (w_low = 1, so one queued
-  // write starts a batch) the switch to write mode, its service, the end of
-  // the batch and the idle read-mode dispatch. Each access runs alone,
-  // well before the first refresh (tREFI = 7.8 us).
+  // to the core. A posted write costs five and no completion: the submit
+  // hop, which also retires the write at hand-off, then (w_low = 1, so one
+  // queued write starts a batch) the switch to write mode, its service, the
+  // end of the batch and the idle read-mode dispatch. Each access runs
+  // alone, well before the first refresh (tREFI = 7.8 us).
   sim::Kernel k;
   SocConfig cfg;
   cfg.dram_ctrl = dram::ControllerConfig{}.w_low(1);
@@ -79,7 +79,7 @@ TEST(Soc, PostedWriteSchedulesNoDramCompletionEvent) {
     k.run(Time::us(i + 1));
     EXPECT_EQ(retired, i + 1);
     EXPECT_EQ(soc.counters().get("dram_accesses"), i + 1);
-    EXPECT_EQ(k.events_executed() - before, write ? 6u : 5u)
+    EXPECT_EQ(k.events_executed() - before, 5u)
         << (write ? "posted write " : "read ") << i;
     before = k.events_executed();
   }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -285,58 +286,244 @@ TEST(Kernel, ScheduleAtNowDuringDrainJoinsTheBatch) {
   EXPECT_EQ(k.now(), Time::ns(3));
 }
 
-TEST(Kernel, RandomizedAgainstSortedVectorReference) {
-  // Model check of the indexed 4-ary heap: a few thousand random schedule /
-  // cancel operations mirrored into a naive sorted-vector event list; the
-  // execution order (observed via a shared log) must match exactly.
+/// Lockstep model check of the kernel's two-tier queue: every schedule and
+/// cancel is mirrored into a naive list of (at, priority, seq), and each
+/// firing event must be the list's minimum at that moment and fire at its
+/// own timestamp. Handlers may schedule and cancel through the model, so
+/// the check covers events created while the queue drains.
+class KernelModel {
+ public:
   struct RefEvent {
     Time at;
     int priority;
     std::uint64_t seq;
-    int tag;
   };
-  Rng rng(0xDECADE01u);
-  for (int round = 0; round < 20; ++round) {
-    Kernel k;
-    std::vector<RefEvent> ref;
-    std::vector<int> got;
-    std::vector<EventId> ids;
-    std::vector<std::uint64_t> ref_seqs;
-    std::uint64_t seq = 0;
-    const int ops = 400;
-    for (int i = 0; i < ops; ++i) {
-      if (!ids.empty() && rng.chance(0.3)) {
-        // Cancel a random previously issued handle (may already be stale
-        // in neither / both structures — keep them in lockstep).
-        const auto pick = static_cast<std::size_t>(
-            rng.uniform(0, static_cast<std::int64_t>(ids.size()) - 1));
-        const bool cancelled = k.cancel(ids[pick]);
-        const auto it = std::find_if(
-            ref.begin(), ref.end(),
-            [&](const RefEvent& e) { return e.seq == ref_seqs[pick]; });
-        EXPECT_EQ(cancelled, it != ref.end());
-        if (it != ref.end()) ref.erase(it);
-      } else {
-        const Time at = Time::ns(rng.uniform(0, 200));
-        const int priority = static_cast<int>(rng.uniform(-2, 2));
-        const int tag = static_cast<int>(++seq);
-        ids.push_back(k.schedule_at(at, [&got, tag] { got.push_back(tag); },
-                                    priority));
-        ref.push_back(RefEvent{at, priority, seq, tag});
-        ref_seqs.push_back(seq);
+
+  Kernel& kernel() { return k_; }
+  std::size_t pending() const { return ref_.size(); }
+  std::uint64_t fired() const { return fired_; }
+  std::uint64_t scheduled() const { return seq_; }
+  /// Firings that were not the reference's minimum (0 when exact), and a
+  /// description of the first.
+  int mismatches() const { return mismatches_; }
+  const std::string& first_mismatch() const { return first_mismatch_; }
+
+  /// Called inside each handler after the order check, with the event's
+  /// sequence number (1 for the first event scheduled).
+  std::function<void(std::uint64_t)> on_fire;
+
+  void schedule(Time at, int priority) {
+    const std::uint64_t seq = ++seq_;
+    ids_.push_back(k_.schedule_at(at, [this, seq] { fire(seq); }, priority));
+    id_seqs_.push_back(seq);
+    ref_.push_back(RefEvent{at, priority, seq});
+  }
+
+  /// Cancel handle `pick` of all handles ever issued: live ones from either
+  /// tier, and stale ones (fired or cancelled) whose slot may since hold
+  /// another event in either tier.
+  void cancel(std::size_t pick) {
+    const bool cancelled = k_.cancel(ids_[pick]);
+    const auto it = std::find_if(ref_.begin(), ref_.end(), [&](const auto& e) {
+      return e.seq == id_seqs_[pick];
+    });
+    EXPECT_EQ(cancelled, it != ref_.end()) << "handle of event " << pick + 1;
+    if (it != ref_.end()) ref_.erase(it);
+  }
+  void cancel_random(Rng& rng) {
+    if (ids_.empty()) return;
+    cancel(static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(ids_.size()) - 1)));
+  }
+
+  /// The reference's next event (ref_ must be non-empty).
+  const RefEvent& soonest() const {
+    return *std::min_element(ref_.begin(), ref_.end(), earlier);
+  }
+
+ private:
+  static bool earlier(const RefEvent& a, const RefEvent& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.priority != b.priority) return a.priority < b.priority;
+    return a.seq < b.seq;
+  }
+
+  void fire(std::uint64_t seq) {
+    ++fired_;
+    const auto it = std::min_element(ref_.begin(), ref_.end(), earlier);
+    if (it == ref_.end() || it->seq != seq || it->at != k_.now()) {
+      if (mismatches_++ == 0) {
+        first_mismatch_ = "event " + std::to_string(seq) + " fired at " +
+                          std::to_string(k_.now().picos()) + " ps; want " +
+                          (it == ref_.end() ? std::string("none")
+                                            : std::to_string(it->seq));
       }
     }
-    k.run();
-    std::sort(ref.begin(), ref.end(), [](const RefEvent& a, const RefEvent& b) {
-      if (a.at != b.at) return a.at < b.at;
-      if (a.priority != b.priority) return a.priority < b.priority;
-      return a.seq < b.seq;
-    });
-    std::vector<int> want;
-    want.reserve(ref.size());
-    for (const auto& e : ref) want.push_back(e.tag);
-    ASSERT_EQ(got, want) << "round " << round;
+    const auto self = std::find_if(ref_.begin(), ref_.end(),
+                                   [&](const auto& e) { return e.seq == seq; });
+    if (self != ref_.end()) ref_.erase(self);
+    if (on_fire) on_fire(seq);
   }
+
+  Kernel k_;
+  std::vector<RefEvent> ref_;
+  std::vector<EventId> ids_;
+  std::vector<std::uint64_t> id_seqs_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t fired_ = 0;
+  int mismatches_ = 0;
+  std::string first_mismatch_;
+};
+
+TEST(Kernel, RandomizedAgainstSortedVectorReference) {
+  Rng rng(0xDECADE01u);
+  // Part 1: a few thousand random schedule / cancel operations up front,
+  // then one run() drains them all.
+  for (int round = 0; round < 20; ++round) {
+    KernelModel m;
+    for (int i = 0; i < 400; ++i) {
+      if (m.scheduled() > 0 && rng.chance(0.3)) {
+        m.cancel_random(rng);
+      } else {
+        m.schedule(Time::ns(rng.uniform(0, 200)),
+                   static_cast<int>(rng.uniform(-2, 2)));
+      }
+    }
+    m.kernel().run();
+    EXPECT_EQ(m.pending(), 0u);
+    EXPECT_TRUE(m.kernel().empty());
+    ASSERT_EQ(m.mismatches(), 0) << "round " << round << ": "
+                                 << m.first_mismatch();
+  }
+
+  // Part 2: step() and run(until) interleaved with outside schedules and
+  // cancels, while handlers schedule (at now, a short delay ahead or far
+  // ahead) and cancel. The handlers alternate between growing the queue
+  // past 80 pending events and shrinking it below 5, so the pending count
+  // crosses the near tier's capacity (32) in both directions many times,
+  // and events are cancelled from, and slots recycled across, both tiers.
+  int crossings = 0;
+  for (int round = 0; round < 20; ++round) {
+    KernelModel m;
+    Kernel& k = m.kernel();
+    bool grow = true;
+    const auto random_at = [&] {
+      const double p = rng.next_double();
+      if (p < 0.15) return k.now();
+      if (p < 0.85) return k.now() + Time::ns(rng.uniform(1, 30));
+      return k.now() + Time::ns(rng.uniform(200, 3000));
+    };
+    const auto random_priority = [&] {
+      return static_cast<int>(rng.uniform(-2, 2));
+    };
+    bool draining = false;
+    m.on_fire = [&](std::uint64_t) {
+      if (draining) return;
+      if (m.pending() > 80) grow = false;
+      if (m.pending() < 5) grow = true;
+      const auto n = grow ? rng.uniform(1, 3) : rng.uniform(0, 1);
+      for (std::int64_t i = 0; i < n; ++i) m.schedule(random_at(),
+                                                      random_priority());
+      if (rng.chance(0.2)) m.cancel_random(rng);
+    };
+    bool above = false;
+    for (int op = 0; op < 300; ++op) {
+      switch (rng.uniform(0, 3)) {
+        case 0: {
+          const std::uint64_t before = m.fired();
+          EXPECT_EQ(k.step(), m.pending() > 0 || before != m.fired());
+          EXPECT_LE(m.fired() - before, 1u);
+          break;
+        }
+        case 1: {
+          const Time until = k.now() + Time::ns(rng.uniform(0, 40));
+          k.run(until);
+          // Everything due by `until` ran; what is left is later.
+          if (m.pending() > 0) {
+            EXPECT_GT(m.soonest().at, until);
+          }
+          break;
+        }
+        case 2:
+          m.schedule(random_at(), random_priority());
+          break;
+        default:
+          m.cancel_random(rng);
+          break;
+      }
+      if (above != (m.pending() > 32)) {
+        above = !above;
+        ++crossings;
+      }
+      EXPECT_EQ(k.empty(), m.pending() == 0);
+    }
+    draining = true;
+    k.run();
+    EXPECT_EQ(m.pending(), 0u);
+    EXPECT_TRUE(k.empty());
+    ASSERT_EQ(m.mismatches(), 0) << "round " << round << ": "
+                                 << m.first_mismatch();
+  }
+  EXPECT_GE(crossings, 40);
+}
+
+TEST(Kernel, TraceReplayShapeKeepsExactOrder) {
+  // A trace replay schedules every record up front (10k monotone events,
+  // which fill the near tier and put the rest in the heap); each record's
+  // handler then schedules near-future work (at now or a few ns ahead)
+  // that lands among the pending records. The order must match the
+  // sorted reference exactly.
+  constexpr int kRecords = 10'000;
+  Rng rng(0x7ACE5u);
+  KernelModel m;
+  for (int i = 0; i < kRecords; ++i) m.schedule(Time::ns(10 * i), 0);
+  m.on_fire = [&](std::uint64_t seq) {
+    if (seq > kRecords) return;  // follow-ups schedule nothing
+    const auto n = rng.uniform(1, 2);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const Time at = m.kernel().now() + Time::ns(rng.uniform(0, 25));
+      m.schedule(at, static_cast<int>(rng.uniform(-1, 1)));
+    }
+  };
+  m.kernel().run();
+  EXPECT_EQ(m.fired(), m.scheduled());
+  EXPECT_GT(m.scheduled(), static_cast<std::uint64_t>(kRecords) * 3 / 2);
+  EXPECT_TRUE(m.kernel().empty());
+  EXPECT_EQ(m.mismatches(), 0) << m.first_mismatch();
+}
+
+TEST(Kernel, StaleHandleRejectedAfterSlotMovesTier) {
+  // Slots are recycled last-freed-first, so a cancelled event's slot is
+  // the next one taken. Thirty-two events fill the near tier; a later one
+  // then goes to the heap. Each stale handle below names a slot that now
+  // holds a live event in the other tier, and must cancel nothing.
+  Kernel k;
+  std::vector<int> order;
+  std::vector<EventId> near;
+  for (int i = 0; i < 32; ++i) {
+    near.push_back(k.schedule_at(Time::ns(10 + i),
+                                 [&order, i] { order.push_back(i); }));
+  }
+  const EventId far = k.schedule_at(Time::ns(1000), [] { FAIL(); });
+  EXPECT_TRUE(k.cancel(far));  // from the heap
+  // Before everything: enters the near tier in the far event's slot (the
+  // near tier's latest entry moves to the heap).
+  const EventId first = k.schedule_at(Time::ns(1),
+                                      [&order] { order.push_back(-1); });
+  EXPECT_FALSE(k.cancel(far));
+  EXPECT_TRUE(k.cancel(near[5]));  // from the near tier
+  // After everything: goes to the heap in near[5]'s slot.
+  k.schedule_at(Time::ns(5000), [&order] { order.push_back(100); });
+  EXPECT_FALSE(k.cancel(near[5]));
+  EXPECT_FALSE(k.cancel(far));
+  k.run();
+  std::vector<int> want{-1};
+  for (int i = 0; i < 32; ++i) {
+    if (i != 5) want.push_back(i);
+  }
+  want.push_back(100);
+  EXPECT_EQ(order, want);
+  EXPECT_FALSE(k.cancel(first));
 }
 
 // ---- EventFn: the inline, move-only event callable -------------------------
